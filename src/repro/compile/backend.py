@@ -1,29 +1,27 @@
 """The compiled executor: an :class:`~repro.runtime.interp.Interp`
-whose user-function bodies run as pre-compiled closures.
+whose user-function bodies run as generated Python generators.
 
-Only ``call_function`` is overridden.  Everything else — scheduler,
+Only how function bodies run is overridden (``call_function`` and the
+thread/main entry points).  Everything else — scheduler,
 shadow memory, lock table, RC scheme, RNG streams, tracing bus, global
 initialization, builtins — is the inherited machinery, shared verbatim
 with the tree-walker, which is what makes compiled runs bit-identical
 by seed (same steps, reports, and trace hashes; only wall time
-changes).  A function whose compilation failed (exotic node, unsizable
-type) transparently falls back to the inherited tree-walking
+changes).  A function codegen declined (exotic node, unsizable type)
+transparently falls back to the inherited tree-walking
 ``call_function``; its callees still dispatch through this override,
 so the rest of the program stays compiled.
 """
 
 from __future__ import annotations
 
-from repro.errors import InterpError
 from repro.cfront import cast as A
 from repro.runtime.addrspace import PAGE_SIZE
 from repro.runtime.interp import Frame, Interp, ThreadExit
 from repro.runtime.scheduler import Thread
 from repro.sharc.checker import CheckedProgram
 
-from repro.compile.closures import (
-    CompiledProgram, _Return, compile_program,
-)
+from repro.compile.closures import CompiledProgram, compile_program
 
 
 class CompiledInterp(Interp):
@@ -69,7 +67,7 @@ class CompiledInterp(Interp):
         yield-from chain, so a frame shaved here is saved on each of the
         thread's resumes, not just at entry."""
         cf = self.compiled.funcs.get(func.name)
-        if cf is None or cf.func is not func or not cf.direct:
+        if cf is None or cf.func is not func:
             result = yield from Interp._thread_body(self, thread, func,
                                                     args)
             return result
@@ -87,7 +85,7 @@ class CompiledInterp(Interp):
         (global initializers still tree-walk in a boot frame first)."""
         main = self.functions.get("main")
         cf = self.compiled.funcs.get("main") if main is not None else None
-        if cf is None or cf.func is not main or not cf.direct:
+        if cf is None or cf.func is not main:
             result = yield from Interp._main_body(self, thread)
             return result
         boot = Frame(main)
@@ -112,23 +110,9 @@ class CompiledInterp(Interp):
             result = yield from Interp.call_function(self, thread, func,
                                                      args)
             return result
-        if func.body is None:
-            raise InterpError(
-                f"call of undefined function {func.name!r}", func.loc)
         frame = self._push_frame(thread, cf, args)
         try:
-            # Codegen-tier bodies use plain ``return`` (the value rides
-            # the StopIteration and is the call result); closure-tier
-            # bodies raise ``_Return``, and their fallthrough value is
-            # an internal CE artifact — discard it, completion means 0.
-            if cf.body_is_gen:
-                result = yield from cf.body(self, thread, frame)
-            else:
-                result = cf.body(self, thread, frame)
-            if cf.tier != "codegen":
-                result = 0
-        except _Return as ret:
-            result = ret.value
+            result = yield from cf.body(self, thread, frame)
         finally:
             self._pop_frame(thread, frame)
         return result

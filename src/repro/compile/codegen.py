@@ -1,18 +1,19 @@
 """Flattened-body code generation: one Python generator per function.
 
-The closure compiler (:mod:`repro.compile.closures`) removes the
-per-node *dispatch* but keeps one generator frame per compound
-statement/expression, so every scheduler item still resumes a chain of
-5-8 frames.  This module goes one step further: it emits Python
-*source* for the whole function body — statements inlined, expression
-temporaries in evaluation order, check sites specialized from the
-static marks exactly as in the closure compiler — compiles it with
-``exec``, and runs each activation as a single generator frame.  A
-scheduler item then resumes thread-body -> call_function -> body and
-nothing else.
+The tree-walking interpreter (:mod:`repro.runtime.interp`) re-dispatches
+on every node visit and keeps one generator frame per compound
+statement/expression, so every scheduler item resumes a chain of
+frames.  This module instead emits Python *source* for the whole
+function body — statements inlined, expression temporaries in
+evaluation order, variable slots resolved to frame-slab offsets, access
+sizes and pointer scales precomputed from the static types, check sites
+specialized from the static marks — compiles it with ``exec``, and runs
+each activation as a single generator frame.  A scheduler item then
+resumes thread-body -> body (callees inlined the same way) and nothing
+else.
 
-Bit-identity contract (same as the closure compiler, same differential
-tests): identical ``steps_total`` at every observable point (yield,
+Bit-identity contract (checked by the differential backend tests):
+identical ``steps_total`` at every observable point (yield,
 ``history.record``, bus emission, raise), identical yield count per
 access and per loop back-edge, identical report text, identical
 scheduler RNG consumption.  The generated code follows the
@@ -31,8 +32,8 @@ interpreter's cost model mechanically:
 
 Anything the generator cannot express delegates per-node to the
 inherited tree-walker (``I.eval_expr``), and a function that fails
-codegen entirely falls back to the closure compiler, then to the
-tree-walker — each tier bit-identical, each slower than the last.
+codegen entirely runs under the tree-walker — bit-identical, just
+slower.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from repro.cfront import cast as A
 from repro.runtime.addrspace import PAGE_SIZE
 from repro.runtime.builtins import IMPLS
 from repro.runtime.interp import (
-    Frame, Interp, _Break, _Continue, _Return, _truthy,
+    Frame, Interp, _Break, _Continue, _truthy, frame_layout,
     _EXPR_KIND, _STMT_KIND, _BINOP_K,
     _E_LIT, _E_NULL, _E_STR, _E_SIZEOF, _E_IDENT, _E_MEMBER, _E_INDEX,
     _E_UNOP, _E_BINOP, _E_ASSIGN, _E_CALL, _E_CAST, _E_SCAST, _E_COND,
@@ -59,31 +60,57 @@ from repro.cfront.pretty import pretty_expr
 from repro.obs.events import CAT_CHECK, CAT_SCAST
 from repro.sharc.reports import Access, lock_not_held, oneref_failed
 from repro.compile.closures import (
-    CompileError, CompiledFunction, FunctionCompiler, _make_dyn_check,
+    CompileError, CompiledFunction, _make_dyn_check,
 )
 
 
-class FunctionCodegen(FunctionCompiler):
-    """Emits one flat Python function for one mini-C function body.
+class FunctionCodegen:
+    """Emits one flat Python generator for one mini-C function body."""
 
-    Reuses the closure compiler's static-fact helpers (``_sizeof``,
-    ``_ptr_scale``, frame layout) and its specialized dynamic-check
-    closures; only the execution representation differs.
-    """
+    _COMPOUND = Interp._COMPOUND
 
-    def __init__(self, pc, func):
-        super().__init__(pc, func)
+    def __init__(self, pc, func: A.FuncDef) -> None:
+        self.pc = pc
+        self.structs = pc.structs
+        self.functions = pc.functions
+        self.global_names = pc.global_names
+        self.func = func
+        self.offsets, self.slab_size = frame_layout(func, pc.structs)
+        #: set True when emitted code needs ``frame.env`` populated
+        self.needs_env = False
         self.lines: list[str] = []
         self.indent = 1
         self.pend = 0          # entry ticks not yet emitted
         self.ntmp = 0
         self.consts: list[object] = []
         self.cmap: dict[int, str] = {}
-        self.has_yield = False
         # emission mode for break/continue: "native" loops place the
         # back-edge at the loop head; do-while needs exception routing
         self.loop_modes: list[str] = []
         self.uses_fast = False  # emitted a slab-slot fast-path access?
+
+    # -- static facts ------------------------------------------------------
+
+    def _sizeof(self, node: A.Expr) -> int:
+        """Replicates ``Interp._sizeof_node`` (incl. its fallbacks)."""
+        qt = node.ctype
+        if qt is None:
+            return 8
+        try:
+            return qt.base.size(self.structs)
+        except KeyError:
+            return 8
+
+    def _ptr_scale(self, qt) -> int:
+        if qt is None:
+            return 1
+        if qt.is_pointer or qt.is_array:
+            return qt.pointee().base.size(self.structs)
+        return 1
+
+    def _is_array(self, e: A.Expr) -> bool:
+        qt = e.ctype
+        return qt is not None and qt.is_array
 
     # -- emission helpers --------------------------------------------------
 
@@ -117,7 +144,6 @@ class FunctionCodegen(FunctionCompiler):
         self.flush()
         self.w("_fc = I._pending; I._pending = 0")
         self.w("yield _fc")
-        self.has_yield = True
 
     # -- known-good address fast path --------------------------------------
     #
@@ -269,7 +295,6 @@ class FunctionCodegen(FunctionCompiler):
             self.w("if I.instrument:")
             self.w(f"    yield from I._lock_check({self.const(info)}"
                    f", {at}, {size}, th, fr, {is_write})")
-            self.has_yield = True
             return
         lv = info.lvalue_text
         loc = self.const(info.loc)
@@ -448,7 +473,6 @@ class FunctionCodegen(FunctionCompiler):
         self.flush()
         t = self.tmp()
         self.w(f"{t} = yield from I.eval_expr({self.const(e)}, th, fr)")
-        self.has_yield = True
         return t
 
     # -- expressions -------------------------------------------------------
@@ -828,7 +852,6 @@ class FunctionCodegen(FunctionCompiler):
         self.w(f"{t} = {impl_expr}(I, th, {self.const(e)}, {args})")
         self.w(f"if hasattr({t}, '__next__'): "
                f"{t} = yield from {t}")
-        self.has_yield = True
         self.w(f"if {t} is None: {t} = 0")
         return t
 
@@ -838,25 +861,18 @@ class FunctionCodegen(FunctionCompiler):
         here — same slab allocation, parameter stores, and frame pop as
         ``CompiledInterp.call_function``, but the callee body is
         ``yield from``-ed directly, removing one generator frame from
-        every item's resume chain.  Callees on other tiers (or still
-        uncompiled) take the generic path.  The funcs dict is bound
-        late, so call sites see the final whole-program compile."""
+        every item's resume chain.  Callees codegen declined take the
+        generic path.  The funcs dict is bound late, so call sites see
+        the final whole-program compile."""
         self.flush()
         t = self.tmp()
         fk = self.const(self.functions[name])
-        funcs_out = getattr(self.pc, "funcs_out", None)
-        if funcs_out is None:
-            self.w(f"{t} = yield from I.call_function(th, {fk}, "
-                   f"{args})")
-            self.has_yield = True
-            return t
         self.uses_fast = True
         cft = self.tmp()
         frt = self.tmp()
         slt = self.tmp()
-        self.w(f"{cft} = {self.const(funcs_out)}.get({name!r})")
-        self.w(f"if {cft} is not None and {cft}.direct "
-               f"and {cft}.func is {fk}:")
+        self.w(f"{cft} = {self.const(self.pc.funcs_out)}.get({name!r})")
+        self.w(f"if {cft} is not None and {cft}.func is {fk}:")
         self.indent += 1
         self.w(f"{frt} = _Frame({cft}.func, "
                f"slab_size={cft}.slab_size)")
@@ -885,7 +901,6 @@ class FunctionCodegen(FunctionCompiler):
         self.w("else:")
         self.w(f"    {t} = yield from I.call_function(th, {fk}, "
                f"{args})")
-        self.has_yield = True
         return t
 
     def _gen_call(self, e: A.Call) -> str:
@@ -921,7 +936,6 @@ class FunctionCodegen(FunctionCompiler):
         self.w(f"{ft} = I.functions.get({ct})")
         self.w(f"if {ft} is not None:")
         self.w(f"    {t} = yield from I.call_function(th, {ft}, {at})")
-        self.has_yield = True
         self.w("else:")
         self.w(f"    {ft} = _IMPLS.get({ct})")
         self.w(f"    if {ft} is None:")
@@ -1079,11 +1093,12 @@ class FunctionCodegen(FunctionCompiler):
 
     def compile(self) -> CompiledFunction:
         tracked = set(getattr(self.func, "rc_locals", []))
-        cf = CompiledFunction(self.func, self.offsets, self.slab_size,
-                              tracked)
         self.gen_stmt(self.func.body)
         self.flush()
         self.w("return 0")
+        # Unreachable, but makes every body a generator even when it
+        # has no scheduling point, so all activations share one protocol.
+        self.w("yield")
         header = ["st = I.stats", "space = I.space", "slab = fr.slab"]
         if self.uses_fast:
             header.append("_cells = space.cells")
@@ -1105,14 +1120,11 @@ class FunctionCodegen(FunctionCompiler):
         exec(code, ns)
         body = ns["_make"](tuple(self.consts), _truthy, InterpError,
                            IMPLS, _Break, _Continue, Frame)
-        cf.body = body
-        cf.body_is_gen = self.has_yield
-        cf.direct = self.has_yield
-        cf.source = src
-        cf.env_items = tuple(self.offsets.items())
-        cf.param_slots = [(self.offsets[name], name in tracked)
-                          for name in self.func.param_names]
-        cf.rc_offs = [self.offsets[n] for n in tracked
-                      if n in self.offsets]
-        cf.needs_env = self.needs_env
-        return cf
+        return CompiledFunction(
+            self.func, self.slab_size, body,
+            env_items=tuple(self.offsets.items()),
+            param_slots=[(self.offsets[name], name in tracked)
+                         for name in self.func.param_names],
+            rc_offs=[self.offsets[n] for n in tracked
+                     if n in self.offsets],
+            needs_env=self.needs_env)

@@ -178,31 +178,28 @@ class CampaignConfig:
 # The pool initializer ships every target's source and the sweep
 # settings ONCE per worker process; batch tasks then carry only
 # (label, policy, seed_start, count).  Workers check + compile each
-# target lazily on first use and keep the compiled program in a cache
-# keyed by (source hash, backend), so the compiled backend pays its
-# compile exactly once per worker instead of once per schedule.
+# target lazily on first use; the check is cached per process by source
+# and the compile memoised on the checked program, so the compiled
+# backend pays its compile exactly once per worker instead of once per
+# schedule.
 
-_WORKER: dict = {"targets": None, "settings": None, "compiled": {}}
+_WORKER: dict = {"targets": None, "settings": None}
 
 
 def _campaign_worker_init(targets: dict, settings: dict) -> None:
     _WORKER["targets"] = targets
     _WORKER["settings"] = settings
-    _WORKER["compiled"] = {}
 
 
 def _warm_target(label: str):
-    """Check (per-process cache) and, for the compiled backend, compile
-    (per-worker ``(source hash, backend)`` cache) one target."""
+    """Check and, for the compiled backend, compile one target (both
+    cached per process)."""
     target = _WORKER["targets"][label]
-    settings = _WORKER["settings"]
     checked = _checked_program(target["source"], target["filename"])
-    if settings["backend"] == "compiled":
-        key = (_source_hash(target["source"]), settings["backend"])
-        if key not in _WORKER["compiled"]:
-            from repro.compile.closures import compile_program
+    if _WORKER["settings"]["backend"] == "compiled":
+        from repro.compile.closures import compile_program
 
-            _WORKER["compiled"][key] = compile_program(checked)
+        compile_program(checked)
     return target
 
 

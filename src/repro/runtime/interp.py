@@ -143,7 +143,7 @@ def frame_layout(func: A.FuncDef, structs) -> tuple[dict[str, int], int]:
     frame slab, plus the slab size.  The single source of truth for
     frame layout: ``Interp._make_frame`` builds environments from it and
     the compiled backend (:mod:`repro.compile`) bakes the offsets into
-    its closures, so both backends place every local at the same
+    its generated code, so both backends place every local at the same
     address."""
     from repro.sharc.defaults import collect_local_decls
     ftype = func.qtype.base
@@ -1448,7 +1448,7 @@ def resolve_backend(backend: Optional[str]) -> str:
 def make_interp(checked: CheckedProgram, *,
                 backend: Optional[str] = None, **kwargs) -> Interp:
     """Instantiates the right executor for ``backend`` — the tree-walker
-    (:class:`Interp`) or the closure-compiling backend
+    (:class:`Interp`) or the compiled backend
     (:class:`repro.compile.CompiledInterp`).  Both run the same checked
     program bit-identically by seed; only steps/sec differs."""
     if resolve_backend(backend) == "compiled":
