@@ -171,10 +171,41 @@ class AddressSpace:
         for addr in range(dst, dst + n, PAGE_SIZE):
             self.pages_touched.add(addr // PAGE_SIZE)
 
+    def _live_span(self, addr: int, n: int) -> bool:
+        """[addr, addr+n) is non-empty and inside one live block, now
+        cached as ``n`` per-byte accesses would leave it."""
+        block = self.block_of(addr) if n > 0 else None
+        return block is not None and not block.freed and addr + n <= block.end
+
+    def _touch_span(self, addr: int, n: int) -> None:
+        self.pages_touched.update(
+            range(addr // PAGE_SIZE, (addr + n - 1) // PAGE_SIZE + 1))
+
     def write_bytes(self, addr: int, data: bytes,
                     loc: Loc | None = None) -> None:
+        """Same effects as :meth:`write` per byte, errors included."""
+        if self._live_span(addr, len(data)):
+            self.cells.update(zip(range(addr, addr + len(data)), data))
+            self._touch_span(addr, len(data))
+            return
         for i, b in enumerate(data):
             self.write(addr + i, b, loc)
+
+    def read_bytes(self, addr: int, n: int,
+                   loc: Loc | None = None) -> bytes:
+        """The cells' low bytes; same effects as :meth:`read` per byte."""
+        if self._live_span(addr, n):
+            get = self.cells.get
+            try:
+                data = bytes([int(get(a, 0)) & 0xFF
+                              for a in range(addr, addr + n)])
+            except Exception:
+                pass  # the loop below re-raises it at the same byte
+            else:
+                self._touch_span(addr, n)
+                return data
+        return bytes(int(self.read(addr + i, loc)) & 0xFF
+                     for i in range(n))
 
     def read_c_string(self, addr: int, loc: Loc | None = None,
                       limit: int = 1 << 20) -> str:

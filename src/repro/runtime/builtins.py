@@ -364,6 +364,7 @@ def _signal(rt, addr: int, count: int) -> None:
             break
         tid, _mutex = cv.waiters.pop(0)
         cv.woken.add(tid)
+        rt.sched.notify()
 
 
 @_impl("cond_signal")
@@ -414,8 +415,7 @@ def bi_world_write(rt, thread, node, args):
         if rt.world.write_latency:
             yield ("io", rt.world.write_latency)
         rt.summary_access(node, 1, buf, max(n, 1), thread)
-        data = bytes(int(rt.space.read(buf + i, node.loc)) & 0xFF
-                     for i in range(n))
+        data = rt.space.read_bytes(buf, n, node.loc)
         return rt.world.write(idx, data)
     return gen()
 
@@ -452,8 +452,7 @@ def bi_world_send(rt, thread, node, args):
         if rt.world.write_latency:
             yield ("io", rt.world.write_latency)
         rt.summary_access(node, 1, buf, max(n, 1), thread)
-        data = bytes(int(rt.space.read(buf + i, node.loc)) & 0xFF
-                     for i in range(n))
+        data = rt.space.read_bytes(buf, n, node.loc)
         return rt.world.send(chan, data)
     return gen()
 

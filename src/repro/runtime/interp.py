@@ -241,12 +241,12 @@ class Interp:
             raise ValueError(f"unknown checker {checker!r}")
         self.space = AddressSpace()
         self.shadow = ShadowMemory(shadow_bytes)
-        self.locks = LockTable()
-        from repro.runtime.locks import BarrierTable
-        self.barriers = BarrierTable()
-        self.rc = make_scheme(rc_scheme if instrument else "off")
         self.sched = Scheduler(seed, policy, max_burst,
                                record_trace=record_trace)
+        self.locks = LockTable(self.sched.notify)
+        from repro.runtime.locks import BarrierTable
+        self.barriers = BarrierTable(self.sched.notify)
+        self.rc = make_scheme(rc_scheme if instrument else "off")
         self.world = world if world is not None else World()
         self.rng = random.Random(seed ^ 0x5EED)
         self.output: list[str] = []

@@ -7,12 +7,15 @@ mechanism, and it is what the interpreter consults for lock-held checks.
 
 Blocking (lock contention, condition waits) is mediated by the scheduler:
 these objects only track state; the interpreter loops/blocks on them.
+Every state change that can unblock a waiter (a release, a read-hold
+dropped at thread exit, a barrier trip) calls the table's ``notify``
+callback, which the interpreter wires to :meth:`Scheduler.notify`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.errors import InterpError, Loc
 from repro.obs.events import CAT_LOCK
@@ -53,7 +56,8 @@ class CondVar:
 class LockTable:
     """All mutexes/condvars plus per-thread held-lock logs."""
 
-    def __init__(self) -> None:
+    def __init__(self, notify: Callable[[], None] = lambda: None) -> None:
+        self.notify = notify
         self.mutexes: dict[int, Mutex] = {}
         self.condvars: dict[int, CondVar] = {}
         self.rwlocks: dict[int, RWLock] = {}
@@ -102,6 +106,7 @@ class LockTable:
                 f"{mutex.owner}", loc)
         mutex.owner = None
         self.held_log.get(tid, set()).discard(addr)
+        self.notify()
         self._emit("release", tid, addr)
 
     def holds(self, tid: int, addr: int) -> bool:
@@ -148,11 +153,13 @@ class LockTable:
         if rw.writer == tid:
             rw.writer = None
             self.held_log.get(tid, set()).discard(addr)
+            self.notify()
             self._emit("release", tid, addr, side="wr")
             return
         if tid in rw.readers:
             rw.readers.discard(tid)
             self.read_log.get(tid, set()).discard(addr)
+            self.notify()
             self._emit("release", tid, addr, side="rd")
             return
         raise InterpError(
@@ -178,6 +185,7 @@ class LockTable:
         exit is a programming error surfaced by the interpreter."""
         for addr in self.read_log.pop(tid, set()):
             self.rwlocks[addr].readers.discard(tid)
+            self.notify()
         return self.held_log.pop(tid, set())
 
 
@@ -189,6 +197,8 @@ class Barrier:
     parties: int = 0
     arrived: set[int] = field(default_factory=set)
     generation: int = 0
+    notify: Callable[[], None] = field(default=lambda: None, repr=False,
+                                       compare=False)
 
     def arrive(self, tid: int) -> int:
         """Registers arrival; returns the generation to wait out."""
@@ -197,14 +207,16 @@ class Barrier:
         if len(self.arrived) >= self.parties > 0:
             self.arrived.clear()
             self.generation += 1
+            self.notify()
         return generation
 
 
 class BarrierTable:
-    def __init__(self) -> None:
+    def __init__(self, notify: Callable[[], None] = lambda: None) -> None:
         self.barriers: dict[int, Barrier] = {}
+        self.notify = notify
 
     def barrier(self, addr: int) -> Barrier:
         if addr not in self.barriers:
-            self.barriers[addr] = Barrier(addr)
+            self.barriers[addr] = Barrier(addr, notify=self.notify)
         return self.barriers[addr]

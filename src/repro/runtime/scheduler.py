@@ -30,8 +30,13 @@ context-switch trace (see :attr:`Scheduler.trace`), which is what the
 schedule shrinker uses to re-execute minimized interleavings.
 
 Blocked threads carry a ``ready`` predicate (lock released, condvar
-signalled, join target finished); the scheduler polls predicates when
-picking, which is O(threads) and fine at the paper's thread counts.
+signalled, join target finished, barrier tripped).  The scheduler keeps
+the tid-ordered runnable list between picks and polls the blocked
+threads' predicates only after :meth:`Scheduler.notify`, so a pick in
+which nothing changed does constant work.  The contract: anything that
+can turn a ``ready`` predicate true must call ``notify()``.  ``block``,
+``finish`` and ``fail`` do so themselves; the lock table, the barrier
+table and the condition-variable signal do it for the runtime.
 """
 
 from __future__ import annotations
@@ -228,13 +233,13 @@ class PreemptionBoundPolicy(SchedulingPolicy):
     def __init__(self, bound: int = 2, rate: float = 0.05) -> None:
         self.bound = max(0, bound)
         self.rate = rate
-        self._current_tid = 0
+        self._current: Optional[Thread] = None
         self._used = 0
 
     def pick(self, candidates, sched):
-        current = next((t for t in candidates
-                        if t.tid == self._current_tid), None)
-        if current is not None:
+        # Every RUNNABLE thread is a candidate: no need to scan for it.
+        current = self._current
+        if current is not None and current.state is ThreadState.RUNNABLE:
             if self._used < self.bound and \
                     sched.rng.random() < self.rate:
                 others = [t for t in candidates if t is not current]
@@ -244,7 +249,7 @@ class PreemptionBoundPolicy(SchedulingPolicy):
         else:
             # The previous thread blocked or finished: switching is free.
             current = candidates[0]
-        self._current_tid = current.tid
+        self._current = current
         return current, 1
 
 
@@ -264,13 +269,12 @@ class ReplayPolicy(SchedulingPolicy):
         self._pos = 0
 
     def pick(self, candidates, sched):
-        by_tid = {t.tid: t for t in candidates}
         while self._pos < len(self.trace):
             tid, items = self.trace[self._pos]
             self._pos += 1
-            thread = by_tid.get(tid)
-            if thread is not None:
-                return thread, max(1, items)
+            for thread in candidates:
+                if thread.tid == tid:
+                    return thread, max(1, items)
         return candidates[0], 1 << 30
 
 
@@ -326,6 +330,13 @@ class Scheduler:
         #: at, so per-pick scans stay O(live) instead of O(all-time)
         #: in thread-churn programs
         self._live: dict[int, Thread] = {}
+        #: the BLOCKED subset of ``_live``, which a wake-up poll calls
+        self._blocked: dict[int, Thread] = {}
+        #: tid-ordered RUNNABLE threads, handed to the policy as is;
+        #: None once spawn, block, wake, finish or fail changed the set
+        self._runnable: Optional[list[Thread]] = None
+        #: set by :meth:`notify`: re-poll ``_blocked`` at the next pick
+        self._poll = False
         self._next_tid = 1
         self.context_switches = 0
         #: merged (tid, items) context-switch trace; None when disabled
@@ -343,6 +354,11 @@ class Scheduler:
 
     # -- thread lifecycle -----------------------------------------------------
 
+    def notify(self) -> None:
+        """Something a blocked thread may wait on changed: re-poll the
+        blocked threads' predicates at the next pick."""
+        self._poll = True
+
     def spawn(self, gen: Iterator, name: str = "") -> Thread:
         tid = self._next_tid
         self._next_tid += 1
@@ -350,6 +366,7 @@ class Scheduler:
         self.threads[tid] = thread
         self._live[tid] = thread
         self.live_count += 1
+        self._runnable = None
         self._policy.on_spawn(thread, self)
         if self.bus is not None:
             self.bus.emit(CAT_THREAD, "spawn", tid, entry=thread.name)
@@ -357,28 +374,34 @@ class Scheduler:
 
     def block(self, thread: Thread, ready: Callable[[], bool],
               note: str = "") -> None:
+        """Parks ``thread``; ``ready`` is polled at the next pick."""
         thread.state = ThreadState.BLOCKED
         thread.ready = ready
         thread.block_note = note
+        self._blocked[thread.tid] = thread
+        self._runnable = None
+        self._poll = True
+
+    def _retire(self, thread: Thread, state: ThreadState) -> None:
+        if thread.tid in self._live:
+            self.live_count -= 1
+            del self._live[thread.tid]
+            self._blocked.pop(thread.tid, None)
+            self._runnable = None
+        thread.state = state
+        thread.ready = None
+        self._poll = True  # joiners wait on this
 
     def finish(self, thread: Thread, result: object) -> None:
-        if thread.state in (ThreadState.RUNNABLE, ThreadState.BLOCKED):
-            self.live_count -= 1
-            self._live.pop(thread.tid, None)
-        thread.state = ThreadState.DONE
+        self._retire(thread, ThreadState.DONE)
         thread.result = result
-        thread.ready = None
         if self.bus is not None:
             self.bus.emit(CAT_THREAD, "exit", thread.tid, state="done",
                           steps=thread.steps)
 
     def fail(self, thread: Thread, error: BaseException) -> None:
-        if thread.state in (ThreadState.RUNNABLE, ThreadState.BLOCKED):
-            self.live_count -= 1
-            self._live.pop(thread.tid, None)
-        thread.state = ThreadState.FAILED
+        self._retire(thread, ThreadState.FAILED)
         thread.error = error
-        thread.ready = None
         if self.bus is not None:
             self.bus.emit(CAT_THREAD, "exit", thread.tid, state="failed",
                           error=type(error).__name__)
@@ -386,21 +409,29 @@ class Scheduler:
     # -- picking ----------------------------------------------------------------
 
     def _wake_ready(self) -> None:
-        for thread in self._live.values():
-            if thread.state is ThreadState.BLOCKED and thread.ready is not \
-                    None and thread.ready():
-                thread.state = ThreadState.RUNNABLE
-                thread.ready = None
-                thread.block_note = ""
+        self._poll = False
+        woken = [t for t in self._blocked.values() if t.ready()]
+        for thread in woken:
+            del self._blocked[thread.tid]
+            thread.state = ThreadState.RUNNABLE
+            thread.ready = None
+            thread.block_note = ""
+        if woken:
+            self._runnable = None
 
     def runnable(self) -> list[Thread]:
-        self._wake_ready()
-        return [t for t in self._live.values()
+        """The RUNNABLE threads in tid order (shared: do not mutate)."""
+        if self._poll:
+            self._wake_ready()
+        candidates = self._runnable
+        if candidates is None:
+            candidates = self._runnable = [
+                t for t in self._live.values()
                 if t.state is ThreadState.RUNNABLE]
+        return candidates
 
     def live(self) -> list[Thread]:
-        return [t for t in self._live.values()
-                if t.state in (ThreadState.RUNNABLE, ThreadState.BLOCKED)]
+        return list(self._live.values())
 
     def pick(self) -> tuple[Optional[Thread], int]:
         """Chooses (thread, burst length).  Returns (None, 0) when no
@@ -408,10 +439,11 @@ class Scheduler:
         :meth:`live`."""
         candidates = self.runnable()
         if not candidates:
-            if self.live():
+            if self._live:
                 raise DeadlockError(
                     "deadlock: " + ", ".join(
-                        f"{t.name}({t.block_note})" for t in self.live()))
+                        f"{t.name}({t.block_note})"
+                        for t in self._live.values()))
             return None, 0
         self.context_switches += 1
         thread, burst = self._policy.pick(candidates, self)
@@ -428,12 +460,12 @@ class Scheduler:
         if items <= 0:
             return
         self.items_scheduled += items
-        if self.trace is not None:
-            if self.trace and self.trace[-1][0] == thread.tid:
-                self.trace[-1] = (thread.tid,
-                                  self.trace[-1][1] + items)
+        trace = self.trace
+        if trace is not None:
+            if trace and trace[-1][0] == thread.tid:
+                trace[-1] = (thread.tid, trace[-1][1] + items)
             else:
-                self.trace.append((thread.tid, items))
+                trace.append((thread.tid, items))
         self._policy.note_ran(thread, items, self)
 
     def trace_switches(self) -> int:

@@ -16,9 +16,21 @@ were.
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import deque
 from dataclasses import dataclass, field
+
+
+@functools.lru_cache(maxsize=16)
+def _random_contents(count: int, size: int, seed: int,
+                     alphabet: bytes) -> tuple[bytes, ...]:
+    """The file contents of :meth:`World.with_random_files`.  Bytes are
+    immutable, so every world built from one key shares them; workload
+    models build a fresh world per schedule."""
+    rng = random.Random(seed)
+    return tuple(bytes(rng.choice(alphabet) for _ in range(size))
+                 for _ in range(count))
 
 
 @dataclass
@@ -53,12 +65,8 @@ class World:
                           read_latency: int = 0,
                           alphabet: bytes = b"abcdefgh \n") -> "World":
         """A world of ``count`` pseudo-files of ``size`` bytes each."""
-        rng = random.Random(seed)
-        items = [
-            WorldItem(f"file{i:03d}.txt",
-                      bytes(rng.choice(alphabet) for _ in range(size)))
-            for i in range(count)
-        ]
+        items = [WorldItem(f"file{i:03d}.txt", data) for i, data in
+                 enumerate(_random_contents(count, size, seed, alphabet))]
         return World(items, read_latency=read_latency, seed=seed)
 
     def feed_channel(self, chan: int, data: bytes) -> None:

@@ -1,9 +1,9 @@
 """Tests for the flat address space and allocator."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import InterpError
+from repro.errors import InterpError, Loc
 from repro.runtime.addrspace import AddressSpace, GRANULE
 
 
@@ -148,3 +148,97 @@ class TestStrings:
         addr = space.alloc_c_string(text)
         assert space.read_c_string(addr) == \
             text.encode("latin-1", "replace").decode("latin-1")
+
+
+#: cell contents a program can leave in memory: bytes, wider ints,
+#: floats, a function pointer (``int()`` raises TypeError) and an
+#: infinity (OverflowError)
+_CELLS = st.one_of(st.integers(-300, 300), st.floats(-1e3, 1e3),
+                   st.just(("fn", "f")), st.just(float("inf")))
+
+
+@st.composite
+def _layouts(draw):
+    """(blocks, freed, cells, warm, addr, n): random block sizes (one
+    may span a page boundary), freed blocks, pre-filled cells, the
+    cached block, and a byte range that may start anywhere around a
+    block, run past its end, or be wild."""
+    sizes = draw(st.lists(st.one_of(st.integers(1, 48),
+                                    st.sampled_from([4100, 9000])),
+                          min_size=1, max_size=5))
+    freed = draw(st.sets(st.integers(0, len(sizes) - 1)))
+    block = st.integers(0, len(sizes) - 1)
+    cells = draw(st.lists(st.tuples(block, st.integers(0, 60), _CELLS),
+                          max_size=20))
+    warm = draw(st.none() | block)
+    start = draw(st.one_of(
+        st.tuples(block, st.integers(-4, 60)),
+        st.tuples(block, st.integers(4000, 4200)),
+        st.tuples(st.none(), st.sampled_from([0, 0x10, 1 << 40]))))
+    n = draw(st.integers(0, 80) | st.integers(90, 300))
+    return sizes, freed, cells, warm, start, n
+
+
+def _build(layout):
+    sizes, freed, cells, warm, (idx, off), _n = layout
+    space = AddressSpace()
+    starts = [space.alloc(size) for size in sizes]
+    for i, o, value in cells:
+        space.cells[starts[i] + o] = value
+    for i in sorted(freed):
+        space.free(starts[i])
+    if warm is not None:
+        space.block_of(starts[warm])
+    addr = off if idx is None else starts[idx] + off
+    return space, addr
+
+
+def _outcome(space, op):
+    try:
+        result = op()
+    except Exception as exc:  # compared, not swallowed
+        result = (type(exc), str(exc))
+    last = space._last_block
+    return (result, dict(space.cells), set(space.pages_touched),
+            None if last is None else last.start)
+
+
+class TestBulkBytes:
+    """``write_bytes`` / ``read_bytes`` must leave exactly the state the
+    per-byte loops over ``write`` / ``read`` leave — cells, touched
+    pages, the cached block, and any error with its partial effects."""
+
+    LOC = Loc("t.c", 7, 3)
+
+    @settings(max_examples=200, deadline=None)
+    @given(layout=_layouts(), data=st.data())
+    def test_write_bytes_matches_per_byte_writes(self, layout, data):
+        payload = data.draw(st.binary(min_size=layout[-1],
+                                      max_size=layout[-1]))
+        fast, addr = _build(layout)
+        slow, _ = _build(layout)
+
+        def per_byte():
+            for i, b in enumerate(payload):
+                slow.write(addr + i, b, self.LOC)
+
+        assert _outcome(fast, lambda: fast.write_bytes(
+            addr, payload, self.LOC)) == _outcome(slow, per_byte)
+
+    @settings(max_examples=200, deadline=None)
+    @given(layout=_layouts())
+    def test_read_bytes_matches_per_byte_reads(self, layout):
+        n = layout[-1]
+        fast, addr = _build(layout)
+        slow, _ = _build(layout)
+        assert _outcome(fast, lambda: fast.read_bytes(addr, n, self.LOC)) \
+            == _outcome(slow, lambda: bytes(
+                int(slow.read(addr + i, self.LOC)) & 0xFF
+                for i in range(n)))
+
+    def test_fast_path_crosses_pages(self, space):
+        addr = space.alloc(9000)
+        space.write_bytes(addr, bytes(range(256)) * 35)
+        assert space.pages_touched == set(range(
+            addr // 4096, (addr + 8959) // 4096 + 1))
+        assert space.read_bytes(addr + 255, 3) == bytes([255, 0, 1])

@@ -77,3 +77,48 @@ class TestCondVar:
         cv = locks.condvar(0x300)
         assert cv.addr == 0x300
         assert locks.condvar(0x300) is cv
+
+
+class TestWakeNotifications:
+    """Every change that can unblock a waiter calls the table's notify
+    callback — the scheduler re-polls blocked threads only then."""
+
+    @pytest.fixture
+    def table(self):
+        calls = []
+        return LockTable(lambda: calls.append(1)), calls
+
+    def test_mutex_release_notifies(self, table):
+        locks, calls = table
+        locks.try_acquire(0x100, 1)
+        assert calls == []
+        locks.release(0x100, 1)
+        assert len(calls) == 1
+
+    def test_rwlock_unlock_notifies_both_sides(self, table):
+        locks, calls = table
+        locks.try_wrlock(0x200, 1)
+        locks.rw_unlock(0x200, 1)
+        locks.try_rdlock(0x200, 2)
+        locks.rw_unlock(0x200, 2)
+        assert len(calls) == 2
+
+    def test_thread_exit_notifies_only_for_read_holds(self, table):
+        locks, calls = table
+        locks.try_acquire(0x100, 1)
+        locks.thread_exit(1)  # a leaked mutex stays owned: no wake
+        assert calls == []
+        locks.try_rdlock(0x200, 2)
+        locks.thread_exit(2)
+        assert len(calls) == 1
+
+    def test_barrier_trip_notifies(self):
+        from repro.runtime.locks import BarrierTable
+
+        calls = []
+        barrier = BarrierTable(lambda: calls.append(1)).barrier(0x300)
+        barrier.parties = 2
+        barrier.arrive(1)
+        assert calls == []
+        barrier.arrive(2)
+        assert len(calls) == 1

@@ -48,8 +48,44 @@ class TestBlocking:
         sched.block(t, lambda: bool(flag), "flag")
         assert sched.runnable() == []
         flag.append(1)
+        sched.notify()  # the contract: whoever makes ready() true says so
         assert sched.runnable() == [t]
         assert t.state is ThreadState.RUNNABLE
+
+    def test_predicates_polled_only_after_notify(self):
+        sched = Scheduler()
+        t = sched.spawn(counting_gen(3))
+        calls = []
+        sched.block(t, lambda: calls.append(1) and False, "count")
+        sched.runnable()
+        sched.runnable()
+        assert len(calls) == 1
+        sched.notify()
+        sched.runnable()
+        assert len(calls) == 2
+
+    def test_new_block_polled_at_next_pick_without_notify(self):
+        # A thread whose predicate already holds when it blocks (e.g. a
+        # lock released earlier in the same burst) wakes at the very
+        # next pick: block() itself requests the poll.
+        sched = Scheduler(policy="serial")
+        t1 = sched.spawn(counting_gen(3), "t1")
+        t2 = sched.spawn(counting_gen(3), "t2")
+        assert sched.pick()[0] is t1
+        sched.block(t1, lambda: True, "already-free")
+        assert sched.pick()[0] is t1
+        assert t1.state is ThreadState.RUNNABLE
+        assert sched.runnable() == [t1, t2]
+
+    def test_finish_wakes_joiner(self):
+        sched = Scheduler()
+        joiner = sched.spawn(counting_gen(3), "joiner")
+        target = sched.spawn(counting_gen(3), "target")
+        sched.block(joiner, lambda: target.state is ThreadState.DONE,
+                    "join(2)")
+        assert sched.runnable() == [target]
+        sched.finish(target, 0)
+        assert sched.runnable() == [joiner]
 
     def test_deadlock_detected(self):
         sched = Scheduler()
@@ -127,6 +163,7 @@ class TestRoundRobinRegression:
             ran.append(thread.tid)
             if woken:
                 woken.clear()
+                sched.notify()  # t1's predicate just turned true
             if thread is t1:
                 sched.block(t1, lambda: not woken, "oscillate")
                 woken.append(1)
