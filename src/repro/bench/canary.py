@@ -32,7 +32,7 @@ import sys
 from typing import Optional
 
 from repro.bench.interp_bench import (bench_payload, bench_workloads,
-                                      upgrade_payload, validate_payload)
+                                      load_payload, validate_payload)
 
 DEFAULT_FACTOR = 3.0
 #: same-run compiled/interp ratio each workload must clear (0 = off);
@@ -144,11 +144,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--no-checkelim", action="store_true",
                         help="ablation: run with the static check "
                              "eliminator disabled")
-    parser.add_argument("--no-absint", action="store_true",
-                        help="ablation: run with the abstract "
-                             "interpreter's interval-proved discharges "
-                             "disabled (the CI absint leg runs this "
-                             "non-gating, via --no-gate)")
     parser.add_argument("--backend", default="both",
                         choices=("interp", "compiled", "both"),
                         help="executor(s) to time (default both, which "
@@ -164,24 +159,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.baseline, encoding="utf-8") as handle:
-            baseline = upgrade_payload(json.load(handle))
+        baseline = load_payload(args.baseline)
     except (OSError, ValueError) as exc:
         print(f"error: cannot read baseline {args.baseline}: {exc}",
               file=sys.stderr)
         return 2
 
     checkelim = not args.no_checkelim
-    absint = not args.no_absint
     try:
         results = bench_workloads(args.workloads or None, seed=args.seed,
-                                  checkelim=checkelim, absint=absint,
-                                  backend=args.backend)
+                                  checkelim=checkelim, backend=args.backend)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    current = bench_payload(results, seed=args.seed, checkelim=checkelim,
-                            absint=absint)
+    current = bench_payload(results, seed=args.seed, checkelim=checkelim)
     problems = validate_payload(current)
     if problems:
         print("error: invalid canary payload:\n  "

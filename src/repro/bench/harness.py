@@ -134,14 +134,6 @@ class BenchResult:
         return self.sharc_result.stats.checks_locked_pct
 
     @property
-    def checks_ai_elided_pct(self) -> float:
-        """Fraction of dynamic checks discharged by the abstract
-        interpreter's interval-proved marks (repro.sharc.absint)."""
-        if self.sharc_result is None:
-            return 0.0
-        return self.sharc_result.stats.checks_ai_elided_pct
-
-    @property
     def compiled_speedup(self) -> float:
         """compiled/interp instrumented throughput ratio (0.0 unless
         both backends were timed)."""
@@ -151,7 +143,7 @@ class BenchResult:
 
     def bench_entry(self) -> dict:
         """The BENCH_interp.json record for this workload
-        (``sharc-bench-interp/5``)."""
+        (``sharc-bench-interp/6``)."""
         return {
             "backend": self.backend,
             "base_steps": self.base_steps,
@@ -166,7 +158,6 @@ class BenchResult:
             "checks_per_1k_steps": round(self.checks_per_1k_steps, 3),
             "checks_elided_pct": round(self.checks_elided_pct, 6),
             "checks_locked_pct": round(self.checks_locked_pct, 6),
-            "checks_ai_elided_pct": round(self.checks_ai_elided_pct, 6),
             "lockset_refined": self.lockset_refined,
             "interp_steps_per_sec": round(self.interp_steps_per_sec),
             "compiled_steps_per_sec": round(self.compiled_steps_per_sec),
@@ -209,13 +200,10 @@ def run_workload(workload: Workload, *, seed: Optional[int] = None,
                  rc_scheme: str = "lp",
                  checkelim: bool = True,
                  lockset: bool = True,
-                 absint: bool = True,
                  backend: Optional[str] = None) -> BenchResult:
     """Runs baseline + SharC and returns the measured row.
-    ``checkelim=False`` ablates the static check eliminator,
-    ``lockset=False`` the locked(l) refinement, and ``absint=False``
-    the abstract interpreter's interval-proved discharges in the
-    instrumented run (steps and reports are identical either way; only
+    ``checkelim=False`` ablates the static check eliminator and
+    ``lockset=False`` the locked(l) refinement in the instrumented run (steps and reports are identical either way; only
     wall time and the check-mix counters move).  ``backend`` picks the
     executor for both runs (steps and reports are backend-invariant as
     well)."""
@@ -234,7 +222,6 @@ def run_workload(workload: Workload, *, seed: Optional[int] = None,
                         instrument=True, rc_scheme=rc_scheme,
                         policy=workload.policy,
                         checkelim=checkelim, lockset=lockset,
-                        absint=absint,
                         max_steps=workload.max_steps, backend=backend)
     for result, label in ((base, "baseline"), (sharc, "sharc")):
         if result.error or result.deadlock or result.timeout:

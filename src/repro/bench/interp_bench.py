@@ -9,11 +9,10 @@ PRs.  It writes ``BENCH_interp.json``:
 .. code-block:: json
 
     {
-      "schema": "sharc-bench-interp/5",
+      "schema": "sharc-bench-interp/6",
       "seed": null,
       "checkelim": true,
       "lockset": true,
-      "absint": true,
       "backend": "both",
       "workloads": {
         "pfscan": {
@@ -30,7 +29,6 @@ PRs.  It writes ``BENCH_interp.json``:
           "checks_per_1k_steps": 12.4,
           "checks_elided_pct": 0.858,
           "checks_locked_pct": 0.0,
-          "checks_ai_elided_pct": 0.013,
           "lockset_refined": 0,
           "interp_steps_per_sec": 514867,
           "compiled_steps_per_sec": 2095421,
@@ -51,26 +49,15 @@ is the deterministic step-count overhead (identical across machines for a
 given seed), so the file mixes one machine-dependent axis with the
 machine-independent ones that anchor it.
 
-Schema history: ``/1`` lacked ``checks_per_1k_steps`` and
-``checks_elided_pct``; ``/2`` lacked ``checks_locked_pct`` and
-``lockset_refined``; ``/3`` lacked the per-backend throughput columns
-(``backend``, ``interp_steps_per_sec``, ``compiled_steps_per_sec``,
-``compiled_speedup``) that ``/4`` added with the compiled executor —
-upgraded payloads copy their single measured ``steps_per_sec`` into
-``interp_steps_per_sec``, since that is what older versions timed.
-``/5`` adds ``checks_ai_elided_pct`` (the abstract interpreter's
-interval-proved discharge share; see :mod:`repro.sharc.absint`) plus
-the top-level ``absint`` ablation knob — pre-/5 payloads backfill both
-to 0/false, since they ran without the pass.  On the annotated Table 1 suite both lockset
-fields are legitimately 0 — every consistently-locked location already
-carries a hand-written ``locked(l)``, so there is nothing left for the
-static refinement to convert; its wins show up on the unannotated
-variants (see EXPERIMENTS.md).  ``upgrade_payload`` is the reader shim — every
-consumer (the CI canary, ``--compare``) accepts all versions through
-it, so committed older baselines keep working.
+Readers accept only the current schema (:func:`load_payload`).  On the
+annotated Table 1 suite both lockset fields are legitimately 0 — every
+consistently-locked location already carries a hand-written
+``locked(l)``, so there is nothing left for the static refinement to
+convert; its wins show up on the unannotated variants (see
+EXPERIMENTS.md).
 
 ``sharc bench --compare OLD.json`` re-runs the workloads and diffs them
-against a previously written payload (any schema), exiting nonzero
+against a previously written payload, exiting nonzero
 when throughput regresses beyond ``--compare-threshold`` — the CI
 canary's building block.
 """
@@ -78,7 +65,6 @@ canary's building block.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
 from typing import Optional
@@ -86,30 +72,13 @@ from typing import Optional
 from repro.bench.harness import BenchResult, run_workload
 from repro.bench.workloads import all_workloads
 
-SCHEMA_V1 = "sharc-bench-interp/1"
-SCHEMA_V2 = "sharc-bench-interp/2"
-SCHEMA_V3 = "sharc-bench-interp/3"
-SCHEMA_V4 = "sharc-bench-interp/4"
-SCHEMA = "sharc-bench-interp/5"
+SCHEMA = "sharc-bench-interp/6"
 DEFAULT_OUT = "BENCH_interp.json"
 #: ``--compare`` flags a workload whose steps/sec fell below
 #: ``old * (1 - threshold)``; 0.5 tolerates the usual host jitter while
 #: catching complexity cliffs.
 DEFAULT_COMPARE_THRESHOLD = 0.5
 
-#: fields new in /2, with the value the shim backfills for /1 payloads
-_V2_FIELDS = {"checks_per_1k_steps": 0.0, "checks_elided_pct": 0.0}
-#: fields new in /3, backfilled for /1 and /2 payloads
-_V3_FIELDS = {"checks_locked_pct": 0.0, "lockset_refined": 0}
-#: fields new in /4, backfilled for older payloads
-#: (``interp_steps_per_sec`` is special-cased: it inherits the entry's
-#: measured ``steps_per_sec``, which is what pre-/4 versions timed)
-_V4_FIELDS = {"backend": "interp", "compiled_steps_per_sec": 0,
-              "compiled_speedup": 0.0}
-#: fields new in /5 (the abstract-interpretation discharge column),
-#: backfilled for all older payloads — pre-/5 runs had no absint pass,
-#: so their AI discharge share is exactly 0
-_V5_FIELDS = {"checks_ai_elided_pct": 0.0}
 #: legal values for the ``backend`` knob
 _BACKEND_CHOICES = ("interp", "compiled", "both")
 
@@ -118,7 +87,6 @@ def bench_workloads(names: Optional[list[str]] = None, *,
                     seed: Optional[int] = None,
                     checkelim: bool = True,
                     lockset: bool = True,
-                    absint: bool = True,
                     backend: Optional[str] = None) -> list[BenchResult]:
     """Runs the requested workloads (all six by default).
 
@@ -142,17 +110,14 @@ def bench_workloads(names: Optional[list[str]] = None, *,
         selected = [by_name[n] for n in names]
     if backend != "both":
         return [run_workload(w, seed=seed, checkelim=checkelim,
-                             lockset=lockset, absint=absint,
-                             backend=backend)
+                             lockset=lockset, backend=backend)
                 for w in selected]
     results = []
     for w in selected:
         interp = run_workload(w, seed=seed, checkelim=checkelim,
-                              lockset=lockset, absint=absint,
-                              backend="interp")
+                              lockset=lockset, backend="interp")
         compiled = run_workload(w, seed=seed, checkelim=checkelim,
-                                lockset=lockset, absint=absint,
-                                backend="compiled")
+                                lockset=lockset, backend="compiled")
         if (compiled.sharc_steps != interp.sharc_steps
                 or compiled.reports != interp.reports):
             raise AssertionError(
@@ -168,8 +133,7 @@ def bench_workloads(names: Optional[list[str]] = None, *,
 def bench_payload(results: list[BenchResult],
                   seed: Optional[int] = None,
                   checkelim: bool = True,
-                  lockset: bool = True,
-                  absint: bool = True) -> dict:
+                  lockset: bool = True) -> dict:
     total_steps = sum(r.sharc_steps for r in results)
     total_wall = sum(r.wall_seconds for r in results)
     overheads = [r.time_overhead for r in results]
@@ -181,7 +145,6 @@ def bench_payload(results: list[BenchResult],
         "seed": seed,
         "checkelim": checkelim,
         "lockset": lockset,
-        "absint": absint,
         "backend": backends.pop() if len(backends) == 1 else "mixed",
         "workloads": {r.workload: r.bench_entry() for r in results},
         "summary": {
@@ -197,53 +160,23 @@ def bench_payload(results: list[BenchResult],
     }
 
 
-def upgrade_payload(payload: dict) -> dict:
-    """Reader shim: accepts a ``/1`` through ``/5`` payload and returns
-    a ``/5`` one.  ``/5`` passes through untouched; older schemas are
-    deep-copied, re-stamped, and have the newer per-workload fields
-    backfilled (plus an ``upgraded_from`` marker).  Pre-/4 payloads
-    timed the interpreter, so their ``steps_per_sec`` becomes
-    ``interp_steps_per_sec``; pre-/5 payloads had no absint pass, so
-    ``checks_ai_elided_pct`` backfills to 0.  Anything else raises
-    ``ValueError``."""
-    schema = payload.get("schema")
-    if schema == SCHEMA:
-        return payload
-    if schema not in (SCHEMA_V1, SCHEMA_V2, SCHEMA_V3, SCHEMA_V4):
-        raise ValueError(
-            f"unsupported bench schema {schema!r} "
-            f"(expected {SCHEMA!r}, {SCHEMA_V4!r}, {SCHEMA_V3!r}, "
-            f"{SCHEMA_V2!r}, or {SCHEMA_V1!r})")
-    out = copy.deepcopy(payload)
-    out["schema"] = SCHEMA
-    out["upgraded_from"] = schema
-    out.setdefault("backend", "interp")
-    out.setdefault("absint", False)
-    backfill = dict(_V5_FIELDS)
-    if schema in (SCHEMA_V1, SCHEMA_V2, SCHEMA_V3):
-        backfill.update(_V4_FIELDS)
-    if schema in (SCHEMA_V1, SCHEMA_V2):
-        backfill.update(_V3_FIELDS)
-    if schema == SCHEMA_V1:
-        backfill.update(_V2_FIELDS)
-    for entry in (out.get("workloads") or {}).values():
-        for key, default in backfill.items():
-            entry.setdefault(key, default)
-        entry.setdefault("interp_steps_per_sec",
-                         entry.get("steps_per_sec") or 0)
-    return out
+def load_payload(path: str) -> dict:
+    """Reads a payload file; raises ``ValueError`` unless it was written
+    at the current :data:`SCHEMA` (re-run ``sharc bench`` to refresh an
+    older one)."""
+    with open(path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    if payload.get("schema") != SCHEMA:
+        raise ValueError(f"unsupported bench schema "
+                         f"{payload.get('schema')!r} (expected {SCHEMA!r})")
+    return payload
 
 
 def validate_payload(payload: dict) -> list[str]:
-    """Schema check for the benchmark smoke tests; returns problems.
-    Validates ``/5`` payloads directly and older payloads against their
-    own field sets (consumers upgrade via :func:`upgrade_payload`)."""
+    """Schema check for the benchmark smoke tests; returns problems."""
     problems: list[str] = []
-    schema = payload.get("schema")
-    if schema not in (SCHEMA, SCHEMA_V4, SCHEMA_V3, SCHEMA_V2, SCHEMA_V1):
-        problems.append(f"schema != {SCHEMA!r} (or legacy "
-                        f"{SCHEMA_V4!r} / {SCHEMA_V3!r} / "
-                        f"{SCHEMA_V2!r} / {SCHEMA_V1!r})")
+    if payload.get("schema") != SCHEMA:
+        problems.append(f"schema != {SCHEMA!r}")
     workloads = payload.get("workloads")
     if not isinstance(workloads, dict) or not workloads:
         return problems + ["workloads missing or empty"]
@@ -251,20 +184,11 @@ def validate_payload(payload: dict) -> list[str]:
                 "base_wall_seconds": float, "wall_seconds": float,
                 "steps_per_sec": int, "time_overhead": float,
                 "mem_overhead": float, "pct_dynamic": float,
-                "reports": int}
-    if schema in (SCHEMA, SCHEMA_V4, SCHEMA_V3, SCHEMA_V2):
-        required = dict(required, checks_per_1k_steps=float,
-                        checks_elided_pct=float)
-    if schema in (SCHEMA, SCHEMA_V4, SCHEMA_V3):
-        required = dict(required, checks_locked_pct=float,
-                        lockset_refined=int)
-    if schema in (SCHEMA, SCHEMA_V4):
-        required = dict(required, backend=str,
-                        interp_steps_per_sec=int,
-                        compiled_steps_per_sec=int,
-                        compiled_speedup=float)
-    if schema == SCHEMA:
-        required = dict(required, checks_ai_elided_pct=float)
+                "reports": int, "checks_per_1k_steps": float,
+                "checks_elided_pct": float, "checks_locked_pct": float,
+                "lockset_refined": int, "backend": str,
+                "interp_steps_per_sec": int,
+                "compiled_steps_per_sec": int, "compiled_speedup": float}
     for name, entry in workloads.items():
         for key, kind in required.items():
             value = entry.get(key)
@@ -274,13 +198,11 @@ def validate_payload(payload: dict) -> list[str]:
         if isinstance(entry.get("wall_seconds"), (int, float)) \
                 and entry["wall_seconds"] < 0:
             problems.append(f"{name}.wall_seconds negative")
-        for pct_key in ("checks_elided_pct", "checks_locked_pct",
-                        "checks_ai_elided_pct"):
+        for pct_key in ("checks_elided_pct", "checks_locked_pct"):
             pct = entry.get(pct_key)
             if isinstance(pct, (int, float)) and not 0.0 <= pct <= 1.0:
                 problems.append(f"{name}.{pct_key} out of [0, 1]")
-        if schema in (SCHEMA, SCHEMA_V4) \
-                and entry.get("backend") not in (*_BACKEND_CHOICES, None):
+        if entry.get("backend") not in _BACKEND_CHOICES:
             problems.append(f"{name}.backend not one of "
                             f"{', '.join(_BACKEND_CHOICES)}")
     summary = payload.get("summary")
@@ -293,7 +215,7 @@ def render_table(results: list[BenchResult]) -> str:
     both = any(r.compiled_speedup > 0.0 for r in results)
     header = (f"{'workload':<10} {'sharc steps':>12} {'wall (s)':>9} "
               f"{'steps/sec':>10} {'overhead':>9} {'chk/1k':>7} "
-              f"{'elided':>7} {'locked':>7} {'ai':>6} {'refined':>8}")
+              f"{'elided':>7} {'locked':>7} {'refined':>8}")
     if both:
         header += f" {'compiled/s':>11} {'speedup':>8}"
     lines = [header]
@@ -304,7 +226,6 @@ def render_table(results: list[BenchResult]) -> str:
                 f"{r.checks_per_1k_steps:>7.1f} "
                 f"{r.checks_elided_pct:>7.1%} "
                 f"{r.checks_locked_pct:>7.1%} "
-                f"{r.checks_ai_elided_pct:>6.1%} "
                 f"{r.lockset_refined:>8d}")
         if both:
             line += (f" {r.compiled_steps_per_sec:>11,.0f} "
@@ -317,7 +238,7 @@ def compare_payloads(old: dict, new: dict, *,
                      threshold: float = DEFAULT_COMPARE_THRESHOLD,
                      compiled_floor: float = 0.0
                      ) -> tuple[str, list[str]]:
-    """Diffs two bench payloads (any schema).  Returns the rendered
+    """Diffs two bench payloads.  Returns the rendered
     per-workload delta table and the list of regression messages: a
     workload regresses when its new ``steps_per_sec`` drops below
     ``old * (1 - threshold)``.  When ``compiled_floor`` > 0 and the new
@@ -329,8 +250,6 @@ def compare_payloads(old: dict, new: dict, *,
     jitter does not trip it).  Deterministic axes (step counts,
     overhead) are displayed but never gated — a PR that legitimately
     changes step accounting updates the baseline in the same commit."""
-    old = upgrade_payload(old)
-    new = upgrade_payload(new)
     regressions: list[str] = []
     if not 0.0 < threshold < 1.0:
         return "", [f"threshold must be in (0, 1), got {threshold}"]
@@ -394,10 +313,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--no-lockset", action="store_true",
                         help="ablation: run with the locked(l) lockset "
                              "refinement disabled")
-    parser.add_argument("--no-absint", action="store_true",
-                        help="ablation: run with the abstract "
-                             "interpreter's interval-proved discharges "
-                             "disabled")
     parser.add_argument("--backend", default="both",
                         choices=_BACKEND_CHOICES,
                         help="executor(s) to time: 'both' (default) "
@@ -405,7 +320,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                              "columns; 'interp'/'compiled' time one")
     parser.add_argument("--compare", default=None, metavar="OLD.json",
                         help="diff against a previously written payload "
-                             "(schema /1 through /5); exits 3 on a "
+                             f"(schema {SCHEMA}); exits 3 on a "
                              "throughput regression")
     parser.add_argument("--compare-threshold", type=float,
                         default=DEFAULT_COMPARE_THRESHOLD,
@@ -422,8 +337,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     old_payload = None
     if args.compare is not None:
         try:
-            with open(args.compare, encoding="utf-8") as handle:
-                old_payload = upgrade_payload(json.load(handle))
+            old_payload = load_payload(args.compare)
         except (OSError, ValueError) as exc:
             print(f"error: cannot read {args.compare}: {exc}",
                   file=sys.stderr)
@@ -431,16 +345,15 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     checkelim = not args.no_checkelim
     lockset = not args.no_lockset
-    absint = not args.no_absint
     try:
         results = bench_workloads(args.workloads, seed=args.seed,
                                   checkelim=checkelim, lockset=lockset,
-                                  absint=absint, backend=args.backend)
+                                  backend=args.backend)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = bench_payload(results, seed=args.seed, checkelim=checkelim,
-                            lockset=lockset, absint=absint)
+                            lockset=lockset)
     problems = validate_payload(payload)
     if problems:
         print("error: invalid benchmark payload:\n  "

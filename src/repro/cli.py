@@ -97,13 +97,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if checked.ok else 1
 
 
-#: version tag of the ``sharc analyze --json`` payload.  ``/1`` lacked
-#: the ``absint`` section (interval verdicts per static race, AI
-#: discharge census, interference environment) that ``/2`` added with
-#: the abstract interpreter; readers go through
-#: :func:`upgrade_analyze_payload`.
-ANALYZE_SCHEMA_V1 = "sharc-analyze/1"
-ANALYZE_SCHEMA = "sharc-analyze/2"
+#: version tag of the ``sharc analyze --json`` payload
+ANALYZE_SCHEMA = "sharc-analyze/3"
 
 
 def _mode_text(qt) -> str | None:
@@ -111,43 +106,10 @@ def _mode_text(qt) -> str | None:
         else None
 
 
-def upgrade_analyze_payload(payload: dict) -> dict:
-    """Reader shim: accepts a ``/1`` or ``/2`` analyze payload and
-    returns a ``/2`` one.  ``/1`` payloads predate the abstract
-    interpreter, so their ``absint`` section backfills to an empty
-    analysis (no verdicts, zero discharges) plus an ``upgraded_from``
-    marker.  Anything else raises ``ValueError``."""
-    import copy
-
-    schema = payload.get("schema")
-    if schema == ANALYZE_SCHEMA:
-        return payload
-    if schema != ANALYZE_SCHEMA_V1:
-        raise ValueError(
-            f"unsupported analyze schema {schema!r} "
-            f"(expected {ANALYZE_SCHEMA!r} or {ANALYZE_SCHEMA_V1!r})")
-    out = copy.deepcopy(payload)
-    out["schema"] = ANALYZE_SCHEMA
-    out["upgraded_from"] = schema
-    out.setdefault("absint", {
-        "rounds": 0,
-        "terminated": True,
-        "ai_elided_sites": 0,
-        "ai_range_sites": 0,
-        "check_free": [],
-        "interference": {},
-        "refuted": 0,
-        "confirmed": 0,
-        "verdicts": [],
-    })
-    return out
-
-
 def analyze_payload(checked) -> dict:
     """The machine-readable ``sharc analyze`` view of one checked
-    program (schema ``sharc-analyze/2``)."""
+    program (schema :data:`ANALYZE_SCHEMA`)."""
     ls = checked.lockset_result
-    ai = checked.absint_result
     program = checked.program
     formals = {}
     for func in program.functions():
@@ -181,18 +143,6 @@ def analyze_payload(checked) -> dict:
              "message": d.message, "loc": str(d.loc),
              "notes": list(d.notes)}
             for d in ls.races],
-        "absint": {
-            "rounds": ai.rounds,
-            "terminated": ai.terminated,
-            "ai_elided_sites": ai.stats.ai_elided,
-            "ai_range_sites": ai.stats.ai_ranges,
-            "check_free": sorted(n for n, clean in ai.check_free.items()
-                                 if clean),
-            "interference": ai.interference_encoded(),
-            "refuted": ai.refuted,
-            "confirmed": ai.confirmed,
-            "verdicts": [v.as_dict() for v in ai.verdicts],
-        },
     }
 
 
@@ -237,31 +187,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 print(f"  {r.render()}")
         if ls.races:
             print("== static races ==")
-            ai_by_line = {v.line: v
-                          for v in checked.absint_result.verdicts}
             for d in ls.races:
                 print(str(d))
-                verdict = ai_by_line.get(d.loc.line)
-                if verdict is not None:
-                    print(f"    absint: {verdict.verdict}")
-        if args.ai:
-            ai = checked.absint_result
-            print("== abstract interpretation ==")
-            if ai.check_free:
-                clean = sorted(n for n, ok in ai.check_free.items()
-                               if ok)
-                print("  check-free functions: "
-                      + (", ".join(clean) if clean else "(none)"))
-            if ai.interference:
-                print("  interference environment:")
-                for key, iv in sorted(ai.interference_encoded().items()):
-                    print(f"    {key}: {iv}")
-            for v in checked.absint_result.verdicts:
-                spans = ", ".join(f"{ctx}={iv}"
-                                  for ctx, iv in sorted(v.witness.items()))
-                print(f"  {v.text}@{v.line}: {v.verdict}"
-                      + (f" [{spans}]" if spans else ""))
-            print("  " + ai.summary())
         print(ls.summary())
     if not checked.ok:
         return 1
@@ -300,7 +227,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                                     max_steps=args.max_steps,
                                     checkelim=not args.no_checkelim,
                                     lockset=not args.no_lockset,
-                                    absint=not args.no_absint,
                                     backend=args.backend,
                                     profiler=profiler)
         except SharcError as exc:
@@ -318,7 +244,6 @@ def cmd_run(args: argparse.Namespace) -> int:
                          max_steps=args.max_steps,
                          checkelim=not args.no_checkelim,
                          lockset=not args.no_lockset,
-                         absint=not args.no_absint,
                          trace=trace_config, backend=args.backend)
     if result.output:
         print(result.output, end="")
@@ -360,8 +285,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         argv.append("--no-checkelim")
     if args.no_lockset:
         argv.append("--no-lockset")
-    if args.no_absint:
-        argv.append("--no-absint")
     if args.compare is not None:
         argv += ["--compare", args.compare,
                  "--compare-threshold", str(args.compare_threshold),
@@ -440,7 +363,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
     common = dict(seeds=args.seeds, seed_start=args.seed_start,
                   policies=policies, jobs=args.jobs,
                   max_steps=args.max_steps, backend=args.backend,
-                  absint=not args.no_absint,
                   telemetry=telemetry, progress=progress)
     summary = sweep = None
     sweeps: list = []
@@ -788,7 +710,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     out = args.out or os.path.join(args.dir, "report.html")
     try:
         path = write_report(args.dir, out, title=args.title)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"report: {exc}", file=sys.stderr)
         return 2
     print(f"report written to {path}")
@@ -866,8 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "analyze",
         help="static analysis view: inferred modes, locksets, locked(l) "
-             "refinements, compile-time race findings with interval "
-             "verdicts (--ai for the full abstract-interpretation view)")
+             "refinements and compile-time race findings")
     p.add_argument("file")
     p.add_argument("--json", action="store_true",
                    help="machine-readable output (schema "
@@ -877,11 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fail-on-race", action="store_true",
                    help="exit 2 when any static race is found "
                         "(the CI lint gate)")
-    p.add_argument("--ai", action="store_true",
-                   help="also print the abstract-interpretation view: "
-                        "check-free functions, the stabilised "
-                        "interference environment, and per-race "
-                        "interval verdicts with witness bounds")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("infer", help="show inferred qualifiers")
@@ -911,10 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ablation: disable the locked(l) lockset "
                         "refinement (identical reports/steps, more "
                         "shadow walks)")
-    p.add_argument("--no-absint", action="store_true",
-                   help="ablation: disable the abstract interpreter's "
-                        "interval-proved check discharges (identical "
-                        "reports/steps, more full checks)")
     p.add_argument("--trace-out", default=None, metavar="FILE",
                    help="record structured runtime events: Chrome "
                         "trace-event JSON (Perfetto), or JSON Lines "
@@ -941,9 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-lockset", action="store_true",
                    help="ablation: disable the locked(l) lockset "
                         "refinement")
-    p.add_argument("--no-absint", action="store_true",
-                   help="ablation: disable the abstract interpreter's "
-                        "interval-proved check discharges")
     p.add_argument("--compare", default=None, metavar="OLD.json",
                    help="diff against a previous BENCH_interp.json "
                         "(schema /1 through /5); exit 3 on regression")
@@ -1013,10 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="executor for every schedule (outcomes are "
                         "backend-invariant; compiled sweeps faster)")
-    p.add_argument("--no-absint", action="store_true",
-                   help="ablation: disable the abstract interpreter's "
-                        "interval-proved check discharges in every "
-                        "schedule (outcomes are identical either way)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--metrics-out", default=None, metavar="FILE",
                    help="write a schema-validated metrics.json "

@@ -1,5 +1,5 @@
-"""The compile layer's shared pieces: the compiled-program artifact,
-the whole-program driver, and the specialized dynamic-check closures.
+"""The compile layer's shared pieces: the compiled-program artifact and
+the whole-program driver.
 
 Every defined function body is compiled by
 :class:`repro.compile.codegen.FunctionCodegen` into one Python
@@ -16,130 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cfront import cast as A
-from repro.obs.events import CAT_CHECK
 from repro.sharc.checker import CheckedProgram
-from repro.sharc.reports import Access, read_conflict, write_conflict
 
 
 class CompileError(Exception):
     """This function can't be compiled; run it under the tree-walker."""
-
-
-# -- check sites -----------------------------------------------------------
-
-def _make_dyn_check(info, size, is_write):
-    """``Interp._dynamic_check`` with one AccessInfo's constants folded
-    in: branch structure, counter order, costs, and bus payloads are
-    replicated exactly (the static marks decide at compile time which
-    guards are even reachable; the runtime ablation switches
-    ``I.checkelim``/``I.lockset``/``I.absint`` are still consulted)."""
-    elide = info.elide
-    refined = info.lockset_refined
-    rlock = info.refined_lock
-    range_walk = info.range_walk
-    ai_elide = info.ai_elide
-    ai_range = info.ai_range
-    lvtext = info.lvalue_text
-    loc = info.loc
-    skey = info.site_key_w if is_write else info.site_key_r
-    op = "chkwrite" if is_write else "chkread"
-    make_report = write_conflict if is_write else read_conflict
-
-    def dyn(I, th, addr):
-        stats = I.stats
-        stats.accesses_dynamic += 1
-        site = stats.sites.get(skey)
-        if site is None:
-            site = stats.sites[skey] = [0] * 9
-        tid = th.tid
-        if I.sched.live_count <= 1:
-            site[0] += 1  # solo
-            site[8] += 1  # cost
-            I._pending += 1
-            stats.steps_total += 1
-            stats.steps_checks += 1
-            if I.history is not None:
-                I.history.record(addr, size, tid, lvtext, loc, is_write,
-                                 stats.steps_total)
-            return
-        shadow = I.shadow
-        if elide and I.checkelim \
-                and shadow.recheck(addr, size, tid, is_write):
-            stats.checks_elided += 1
-            site[3] += 1  # elided
-            site[8] += 1  # cost
-            if I.history is not None:
-                I.history.record(addr, size, tid, lvtext, loc, is_write,
-                                 stats.steps_total)
-            I._pending += 1
-            stats.steps_total += 1
-            stats.steps_checks += 1
-            if I.bus is not None:
-                I.bus.emit(CAT_CHECK, op, tid, dur=1, hit=True,
-                           conflict=False, elided=True, lvalue=lvtext)
-            return
-        if refined and I.lockset \
-                and I.locks.holds_for_access(
-                    tid, I.globals_env.get(rlock, -1), is_write) \
-                and shadow.recheck_locked(addr, size, tid, is_write,
-                                          lvtext, loc):
-            stats.checks_locked_refined += 1
-            site[4] += 1  # locked
-            site[8] += 1  # cost
-            if I.history is not None:
-                I.history.record(addr, size, tid, lvtext, loc, is_write,
-                                 stats.steps_total)
-            I._pending += 1
-            stats.steps_total += 1
-            stats.steps_checks += 1
-            if I.bus is not None:
-                I.bus.emit(CAT_CHECK, op, tid, dur=1, hit=True,
-                           conflict=False, locked=True, lvalue=lvtext)
-            return
-        if ai_elide and I.absint \
-                and shadow.recheck(addr, size, tid, is_write):
-            stats.checks_ai_elided += 1
-            site[5] += 1  # ai
-            site[8] += 1  # cost
-            if I.history is not None:
-                I.history.record(addr, size, tid, lvtext, loc, is_write,
-                                 stats.steps_total)
-            I._pending += 1
-            stats.steps_total += 1
-            stats.steps_checks += 1
-            if I.bus is not None:
-                I.bus.emit(CAT_CHECK, op, tid, dur=1, hit=True,
-                           conflict=False, ai=True, lvalue=lvtext)
-            return
-        if (range_walk and I.checkelim) or (ai_range and I.absint):
-            chk = shadow.chkwrite_range if is_write else shadow.chkread_range
-            stats.checks_range += 1
-            site[2] += 1  # range
-        else:
-            chk = shadow.chkwrite if is_write else shadow.chkread
-            stats.checks_full += 1
-            site[1] += 1  # full
-        conflict, slow = chk(addr, size, tid, lvtext, loc)
-        if slow:
-            site[6] += 1  # miss
-        if conflict is not None:
-            site[7] += 1  # conflicts
-            who = Access(tid, lvtext, loc)
-            hist = (I.history.provenance(addr, size)
-                    if I.history is not None else ())
-            I._report(make_report(addr, who, conflict.as_access(), hist))
-        if I.history is not None:
-            I.history.record(addr, size, tid, lvtext, loc, is_write,
-                             stats.steps_total)
-        cost = 1 + 3 * slow
-        site[8] += cost
-        I._pending += cost
-        stats.steps_total += cost
-        stats.steps_checks += cost
-        if I.bus is not None:
-            I.bus.emit(CAT_CHECK, op, tid, dur=cost, hit=(slow == 0),
-                       conflict=conflict is not None, lvalue=lvtext)
-    return dyn
 
 
 # -- compiled artifact -----------------------------------------------------

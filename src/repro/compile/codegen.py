@@ -7,10 +7,10 @@ frames.  This module instead emits Python *source* for the whole
 function body — statements inlined, expression temporaries in
 evaluation order, variable slots resolved to frame-slab offsets, access
 sizes and pointer scales precomputed from the static types, check sites
-specialized from the static marks — compiles it with ``exec``, and runs
-each activation as a single generator frame.  A scheduler item then
-resumes thread-body -> body (callees inlined the same way) and nothing
-else.
+bound to their :mod:`repro.runtime.dyncheck` closures — compiles it
+with ``exec``, and runs each activation as a single generator frame.
+A scheduler item then resumes thread-body -> body (callees inlined the
+same way) and nothing else.
 
 Bit-identity contract (checked by the differential backend tests):
 identical ``steps_total`` at every observable point (yield,
@@ -44,6 +44,7 @@ from repro.errors import InterpError
 from repro.cfront import cast as A
 from repro.runtime.addrspace import PAGE_SIZE
 from repro.runtime.builtins import IMPLS
+from repro.runtime.dyncheck import dynamic_check
 from repro.runtime.interp import (
     Frame, Interp, _Break, _Continue, _truthy, frame_layout,
     _EXPR_KIND, _STMT_KIND, _BINOP_K,
@@ -59,9 +60,7 @@ from repro.runtime.interp import (
 from repro.cfront.pretty import pretty_expr
 from repro.obs.events import CAT_CHECK, CAT_SCAST
 from repro.sharc.reports import Access, lock_not_held, oneref_failed
-from repro.compile.closures import (
-    CompileError, CompiledFunction, _make_dyn_check,
-)
+from repro.compile.closures import CompileError, CompiledFunction
 
 
 class FunctionCodegen:
@@ -349,7 +348,7 @@ class FunctionCodegen:
             if info.is_lock:
                 self._emit_lock_check(info, addr, size, True)
             else:
-                dyn = _make_dyn_check(info, size, True)
+                dyn = dynamic_check(info, size, True)
                 self.w(f"if I.instrument: "
                        f"{self.const(dyn)}(I, th, {addr})")
         rc = getattr(e, "rc_track", False)
@@ -413,7 +412,7 @@ class FunctionCodegen:
             if info.is_lock:
                 self._emit_lock_check(info, at, size, False)
             else:
-                dyn = _make_dyn_check(info, size, False)
+                dyn = dynamic_check(info, size, False)
                 self.w(f"if I.instrument: "
                        f"{self.const(dyn)}(I, th, {at})")
         self.emit_yield()
@@ -450,7 +449,7 @@ class FunctionCodegen:
             if info.is_lock:
                 self._emit_lock_check(info, addr, size, True)
             else:
-                dyn = _make_dyn_check(info, size, True)
+                dyn = dynamic_check(info, size, True)
                 self.w(f"if I.instrument: "
                        f"{self.const(dyn)}(I, th, {addr})")
         self.emit_yield()

@@ -60,8 +60,12 @@ from repro.explore.driver import (
 from repro.explore.queue import WorkQueue
 from repro.runtime.profile import Profiler
 
-CAMPAIGN_SCHEMA = "sharc-campaign/1"
-SHARD_SCHEMA = "sharc-campaign-shard/1"
+#: shard rows carry encoded site counters in the current
+#: :data:`repro.obs.sitestats.SITE_FIELDS` layout; bump both tags when
+#: it changes, so :func:`load_manifest` refuses an older directory
+#: rather than merge rows of two layouts
+CAMPAIGN_SCHEMA = "sharc-campaign/2"
+SHARD_SCHEMA = "sharc-campaign-shard/2"
 
 #: default shard size: large enough to amortize fold/flush overhead,
 #: small enough that kill-and-resume loses little work and coverage

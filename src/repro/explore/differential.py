@@ -160,12 +160,6 @@ class DifferentialSummary:
     static_keys: tuple[str, ...] = ()
     static_vs_sharc: Optional[StaticAgreement] = None
     static_vs_eraser: Optional[StaticAgreement] = None
-    #: each static race scored by the abstract interpreter's interval
-    #: facts ("interval-refuted" races cannot index-overlap on any
-    #: schedule; "interval-confirmed" remain candidates), with witness
-    #: bounds — the AI precision column (see repro.sharc.absint)
-    absint_verdicts: tuple = ()
-    absint_rounds: int = 0
 
     @property
     def schedules(self) -> int:
@@ -174,16 +168,6 @@ class DifferentialSummary:
     @property
     def agreeing(self) -> int:
         return self.schedules - len(self.disagreements)
-
-    @property
-    def absint_refuted(self) -> int:
-        return sum(1 for v in self.absint_verdicts
-                   if v.get("verdict") == "interval-refuted")
-
-    @property
-    def absint_confirmed(self) -> int:
-        return sum(1 for v in self.absint_verdicts
-                   if v.get("verdict") == "interval-confirmed")
 
     def as_dict(self) -> dict:
         return {
@@ -200,12 +184,6 @@ class DifferentialSummary:
                              if self.static_vs_sharc else None),
                 "vs_eraser": (self.static_vs_eraser.as_dict()
                               if self.static_vs_eraser else None),
-            },
-            "absint": {
-                "rounds": self.absint_rounds,
-                "refuted": self.absint_refuted,
-                "confirmed": self.absint_confirmed,
-                "verdicts": [dict(v) for v in self.absint_verdicts],
             },
             "sharc": self.sharc.as_dict(),
             "eraser": self.eraser.as_dict(),
@@ -224,9 +202,7 @@ class DifferentialSummary:
         ]
         if self.static_vs_sharc is not None:
             lines.insert(3, f"  static: {len(self.static_keys)} "
-                            f"compile-time race(s), "
-                            f"{self.absint_refuted} interval-refuted / "
-                            f"{self.absint_confirmed} interval-confirmed")
+                            f"compile-time race(s)")
             for agr in (self.static_vs_sharc, self.static_vs_eraser):
                 if agr is None:
                     continue
@@ -256,17 +232,12 @@ def differential_sweep(source: str, filename: str = "<input>", *,
                        max_burst: int = 8,
                        world_factory: Optional[Callable] = None,
                        backend: Optional[str] = None,
-                       absint: bool = True,
                        telemetry=None,
                        progress: Optional[Callable] = None,
                        ) -> DifferentialSummary:
     """Runs the same ``seeds x policies`` grid under both checkers and
     diffs the verdicts schedule by schedule; the static lockset verdict
-    (computed once, no execution) is scored against each, and each
-    static race carries the abstract interpreter's interval verdict
-    (the AI precision column).  ``absint=False`` ablates the AI
-    discharges at runtime; the static verdict column is computed either
-    way.  ``telemetry``
+    (computed once, no execution) is scored against each.  ``telemetry``
     and ``progress`` are forwarded to both sweeps (they accumulate
     across the two, so done/total covers the whole campaign); an
     interrupt during the sharc sweep skips the eraser sweep entirely
@@ -277,7 +248,7 @@ def differential_sweep(source: str, filename: str = "<input>", *,
     common = dict(seeds=seeds, seed_start=seed_start, policies=policies,
                   jobs=jobs, max_steps=max_steps, max_burst=max_burst,
                   world_factory=world_factory, backend=backend,
-                  absint=absint, telemetry=telemetry, progress=progress)
+                  telemetry=telemetry, progress=progress)
     sharc = explore_source(source, filename, checker="sharc", **common)
     if sharc.interrupted:
         eraser = ExplorationSummary(filename=filename, checker="eraser",
@@ -286,20 +257,14 @@ def differential_sweep(source: str, filename: str = "<input>", *,
     else:
         eraser = explore_source(source, filename, checker="eraser",
                                 **common)
-    absint_verdicts: tuple = ()
-    absint_rounds = 0
     try:
         checked = check_source(source, filename)
         static_keys = tuple(checked.lockset_result.race_keys)
-        absint_verdicts = tuple(
-            v.as_dict() for v in checked.absint_result.verdicts)
-        absint_rounds = checked.absint_result.rounds
     except Exception:
         static_keys = ()  # unparseable input still gets a dynamic diff
     flagged = bool(static_keys)
     summary = DifferentialSummary(
         sharc=sharc, eraser=eraser, static_keys=static_keys,
-        absint_verdicts=absint_verdicts, absint_rounds=absint_rounds,
         static_vs_sharc=StaticAgreement.score(
             "sharc", flagged, sharc.outcomes),
         static_vs_eraser=StaticAgreement.score(

@@ -276,16 +276,14 @@ def run_schedule(source: str, filename: str, seed: int, policy: str,
                  shadow_bytes: int = DEFAULT_SHADOW_BYTES,
                  checkelim: bool = True,
                  lockset: bool = True,
-                 absint: bool = True,
                  backend: Optional[str] = None,
                  collect_sites: bool = True,
                  ) -> ScheduleOutcome:
     """Executes one (seed, policy) schedule and reduces it to an
-    outcome.  ``checkelim=False`` ablates the static check eliminator,
-    ``lockset=False`` the locked(l) lockset refinement, and
-    ``absint=False`` the abstract interpreter's discharges — every
+    outcome.  ``checkelim=False`` ablates the static check eliminator
+    and ``lockset=False`` the locked(l) lockset refinement — every
     outcome field is guaranteed identical any way (the soundness
-    gates of all three passes), so sweeps default to all on.  ``backend``
+    gates of both passes), so sweeps default to both on.  ``backend``
     picks the executor; outcomes are backend-invariant by the same
     guarantee (bit-identical steps, reports, and traces by seed).
 
@@ -304,7 +302,6 @@ def run_schedule(source: str, filename: str, seed: int, policy: str,
                          max_burst=max_burst, world=world,
                          shadow_bytes=shadow_bytes,
                          checkelim=checkelim, lockset=lockset,
-                         absint=absint,
                          record_trace=True, backend=backend)
     trace = result.trace or []
     return ScheduleOutcome(
@@ -326,11 +323,11 @@ def run_schedule(source: str, filename: str, seed: int, policy: str,
 
 def _run_task(task) -> ScheduleOutcome:
     (source, filename, seed, policy, checker, max_steps, max_burst,
-     world_factory, shadow_bytes, backend, collect_sites, absint) = task
+     world_factory, shadow_bytes, backend, collect_sites) = task
     try:
         return run_schedule(source, filename, seed, policy, checker,
                             max_steps, max_burst, world_factory,
-                            shadow_bytes, absint=absint, backend=backend,
+                            shadow_bytes, backend=backend,
                             collect_sites=collect_sites)
     except Exception as exc:  # noqa: BLE001 - sweep survival
         # A crashing schedule (interpreter bug, bad world, recursion
@@ -409,15 +406,10 @@ def explore_source(source: str, filename: str = "<input>", *,
                    shadow_bytes: int = DEFAULT_SHADOW_BYTES,
                    backend: Optional[str] = None,
                    collect_sites: bool = True,
-                   absint: bool = True,
                    telemetry=None,
                    progress: Optional[Callable] = None,
                    ) -> ExplorationSummary:
     """Sweeps ``seeds x policies`` schedules of one program.
-
-    ``absint=False`` ablates the abstract interpreter's interval-proved
-    check discharges in every schedule (outcomes are identical either
-    way; see :func:`run_schedule`).
 
     ``jobs > 1`` distributes schedules over a process pool;
     ``world_factory`` (a picklable zero-argument callable) rebuilds the
@@ -443,7 +435,7 @@ def explore_source(source: str, filename: str = "<input>", *,
     summary.policies = policies
     tasks = [(source, filename, seed, policy, checker, max_steps,
               max_burst, world_factory, shadow_bytes, backend,
-              collect_sites, absint)
+              collect_sites)
              for policy in policies
              for seed in range(seed_start, seed_start + seeds)]
     if telemetry is not None:

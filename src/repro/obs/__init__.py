@@ -43,8 +43,7 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.metrics import (
-    METRICS_SCHEMA, MetricsRegistry, upgrade_metrics_payload,
-    validate_metrics, write_metrics,
+    METRICS_SCHEMA, MetricsRegistry, validate_metrics, write_metrics,
 )
 from repro.obs.report import build_report, write_report
 from repro.obs.sitestats import (
@@ -91,7 +90,6 @@ __all__ = [
     "render_summary",
     "site_rows",
     "supports_live",
-    "upgrade_metrics_payload",
     "validate_chrome_trace",
     "validate_jsonl_records",
     "validate_metrics",

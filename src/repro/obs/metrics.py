@@ -19,12 +19,8 @@ one machine-readable account of where the checking effort went.  A
 
 ``sharc explore --metrics-out metrics.json`` writes the registry; the
 payload is schema-checked (:func:`validate_metrics`) before it touches
-disk, mirroring how ``BENCH_interp.json`` is handled.  Older payloads
-on disk upgrade in place via :func:`upgrade_metrics_payload`
-(``/1`` added no static section, ``/2`` no crash accounting, ``/3`` no
-site attribution, ``/4`` no abstract-interpretation precision column —
-``/5`` adds the ``absint`` section with per-race interval verdicts and
-the ``ai`` per-site discharge counter).
+disk, mirroring how ``BENCH_interp.json`` is handled.  Readers accept
+only the current :data:`METRICS_SCHEMA`.
 """
 
 from __future__ import annotations
@@ -33,12 +29,7 @@ import json
 
 from repro.obs import sitestats
 
-METRICS_SCHEMA = "sharc-metrics/5"
-
-#: every schema tag this module can read (oldest first)
-KNOWN_SCHEMAS = ("sharc-metrics/1", "sharc-metrics/2",
-                 "sharc-metrics/3", "sharc-metrics/4",
-                 "sharc-metrics/5")
+METRICS_SCHEMA = "sharc-metrics/6"
 
 
 def _rate(hits: int, total: int) -> float:
@@ -68,10 +59,6 @@ class MetricsRegistry:
         self.static_races = 0
         #: checker -> {"agreeing", "static_only", "dynamic_only"}
         self._static: dict[str, dict] = {}
-        # abstract-interpretation precision (differential sweeps only)
-        self.absint_refuted = 0
-        self.absint_confirmed = 0
-        self._absint_verdicts: list[dict] = []
         #: merged per-check-site attribution (sitestats layout)
         self.sites: dict = {}
 
@@ -121,13 +108,8 @@ class MetricsRegistry:
     def record_differential(self, summary) -> None:
         """Folds one :class:`DifferentialSummary`'s static column in
         (both dynamic sweeps should also be recorded via
-        :meth:`record_sweep`), including the abstract interpreter's
-        per-race interval verdicts — the AI precision column."""
+        :meth:`record_sweep`)."""
         self.static_races += len(summary.static_keys)
-        self.absint_refuted += summary.absint_refuted
-        self.absint_confirmed += summary.absint_confirmed
-        self._absint_verdicts.extend(
-            dict(v) for v in summary.absint_verdicts)
         for agreement in (summary.static_vs_sharc,
                           summary.static_vs_eraser):
             if agreement is None:
@@ -171,11 +153,6 @@ class MetricsRegistry:
                 "agreement": {
                     checker: dict(acc)
                     for checker, acc in sorted(self._static.items())},
-            },
-            "absint": {
-                "refuted": self.absint_refuted,
-                "confirmed": self.absint_confirmed,
-                "verdicts": [dict(v) for v in self._absint_verdicts],
             },
             "per_policy": {
                 policy: {
@@ -222,11 +199,6 @@ class MetricsRegistry:
                     f"    static vs {checker:<6}: {row['agreeing']} "
                     f"agreeing, {row['static_only']} static-only, "
                     f"{row['dynamic_only']} dynamic-only")
-            absint = data["absint"]
-            if absint["refuted"] or absint["confirmed"]:
-                lines.append(
-                    f"    absint: {absint['refuted']} interval-refuted, "
-                    f"{absint['confirmed']} interval-confirmed")
         if self.sites:
             lines.append(sitestats.render_hot_sites(self.sites))
         return "\n".join(lines)
@@ -274,29 +246,6 @@ def validate_metrics(payload: dict) -> list:
                         problems.append(
                             f"static.agreement.{checker}.{key}: "
                             "expected int")
-    absint = payload.get("absint")
-    if not isinstance(absint, dict):
-        problems.append("absint missing")
-    else:
-        for key in ("refuted", "confirmed"):
-            value = absint.get(key)
-            if not isinstance(value, int) or value < 0:
-                problems.append(f"absint.{key}: expected non-negative "
-                                f"int, got {value!r}")
-        verdicts = absint.get("verdicts")
-        if not isinstance(verdicts, list):
-            problems.append("absint.verdicts missing or not an array")
-        else:
-            for i, row in enumerate(verdicts):
-                if not isinstance(row, dict):
-                    problems.append(f"absint.verdicts[{i}]: not an "
-                                    "object")
-                    continue
-                if row.get("verdict") not in ("interval-refuted",
-                                              "interval-confirmed"):
-                    problems.append(
-                        f"absint.verdicts[{i}].verdict: expected "
-                        "interval-refuted or interval-confirmed")
     per_policy = payload.get("per_policy")
     if not isinstance(per_policy, dict):
         problems.append("per_policy missing")
@@ -338,63 +287,6 @@ def validate_metrics(payload: dict) -> list:
                             f"sites.rows[{i}].{key}: expected "
                             f"non-negative int, got {value!r}")
     return problems
-
-
-def upgrade_metrics_payload(payload: dict) -> dict:
-    """Upgrades a metrics payload written by an older release to the
-    current :data:`METRICS_SCHEMA` (a shallow-copied upgrade; the input
-    is never mutated):
-
-    - ``/1`` predates the static-agreement section — an empty one is
-      synthesized;
-    - ``/2`` predates crash accounting — zero ``crashed_schedules`` /
-      per-policy ``crashes`` are filled in;
-    - ``/3`` predates site attribution — an empty ``sites`` section is
-      synthesized;
-    - ``/4`` predates the abstract interpreter — an empty ``absint``
-      section is synthesized and every site row gets ``ai: 0`` (no AI
-      discharges happened in pre-/5 runs).
-
-    Raises ``ValueError`` on a schema tag this module has never
-    written.
-    """
-    schema = payload.get("schema")
-    if schema not in KNOWN_SCHEMAS:
-        raise ValueError(f"unknown metrics schema {schema!r} "
-                         f"(known: {', '.join(KNOWN_SCHEMAS)})")
-    version = int(schema.rsplit("/", 1)[1])
-    out = dict(payload)
-    out["totals"] = dict(payload.get("totals", {}))
-    out["sweeps"] = [dict(row) for row in payload.get("sweeps", [])]
-    out["per_policy"] = {policy: dict(row) for policy, row
-                        in payload.get("per_policy", {}).items()}
-    if version < 2:
-        out.setdefault("static", {"races": 0, "agreement": {}})
-    if version < 3:
-        out["totals"].setdefault("crashed_schedules", 0)
-        for row in out["sweeps"]:
-            row.setdefault("crashed_schedules", 0)
-        for row in out["per_policy"].values():
-            row.setdefault("crashes", 0)
-    if version < 4:
-        out.setdefault("sites", {"totals": sitestats.totals({}),
-                                 "rows": []})
-    if version < 5:
-        out.setdefault("absint", {"refuted": 0, "confirmed": 0,
-                                  "verdicts": []})
-        sites = out.get("sites")
-        if isinstance(sites, dict):
-            out["sites"] = sites = dict(sites)
-            if isinstance(sites.get("totals"), dict):
-                sites["totals"] = dict(sites["totals"])
-                sites["totals"].setdefault("ai", 0)
-            sites["rows"] = [dict(row) if isinstance(row, dict) else row
-                             for row in sites.get("rows", [])]
-            for row in sites["rows"]:
-                if isinstance(row, dict):
-                    row.setdefault("ai", 0)
-    out["schema"] = METRICS_SCHEMA
-    return out
 
 
 def write_metrics(registry: MetricsRegistry, path: str) -> dict:

@@ -2,7 +2,7 @@
 
 Folds a campaign directory — ``telemetry.jsonl``
 (:mod:`repro.obs.telemetry`) plus, when present, ``metrics.json``
-(:mod:`repro.obs.metrics`, any schema version this tree can upgrade) —
+(:mod:`repro.obs.metrics`, current schema only) —
 into one static HTML file with zero external dependencies: inline CSS,
 the coverage curve as inline SVG, no scripts, no CDN fetches.  The
 file is what the nightly fuzz-soak job uploads as its artifact, so it
@@ -22,7 +22,7 @@ import os
 from typing import Optional
 
 from repro.obs import sitestats
-from repro.obs.metrics import upgrade_metrics_payload
+from repro.obs.metrics import METRICS_SCHEMA
 from repro.obs.telemetry import CampaignStatus, read_telemetry
 
 _CSS = """
@@ -218,7 +218,11 @@ def write_report(campaign_dir: str, out_path: str,
     metrics_path = os.path.join(campaign_dir, "metrics.json")
     if os.path.exists(metrics_path):
         with open(metrics_path, "r", encoding="utf-8") as handle:
-            metrics = upgrade_metrics_payload(json.load(handle))
+            metrics = json.load(handle)
+        if metrics.get("schema") != METRICS_SCHEMA:
+            raise ValueError(f"{metrics_path}: schema "
+                             f"{metrics.get('schema')!r} is not "
+                             f"{METRICS_SCHEMA!r}; re-run the sweep")
     document = build_report(status, metrics, title=title)
     with open(out_path, "w", encoding="utf-8") as handle:
         handle.write(document)

@@ -1,9 +1,8 @@
 """Per-check-site cost attribution.
 
 SharC's evaluation attributes checking overhead per benchmark; the
-static tiers (checkelim, the lockset refinement, and any future
-abstract-interpretation pass) need the same attribution per *check
-site* — which ``chkread``/``chkwrite`` occurrences actually dominate
+static tiers (checkelim and the lockset refinement) need the same
+attribution per *check site* — which ``chkread``/``chkwrite`` occurrences actually dominate
 the charged cost across a whole sweep, and how each was discharged
 (full shadow walk, range-batched walk, elision guard, held-lock probe,
 or the single-threaded fast path).
@@ -12,8 +11,8 @@ A site is one instrumented l-value occurrence, keyed by
 ``(file, line, lvalue, op)`` with ``op`` either ``"r"`` or ``"w"``.
 The runtime keeps one small counter list per site in
 ``RunStats.sites``; the layout (:data:`SITE_FIELDS`) is shared by the
-tree-walking interpreter, both compiled tiers, and the library-call
-summary path, so per-site totals reconcile *exactly* with the global
+one dynamic check both backends run (:mod:`repro.runtime.dyncheck`)
+and the library-call summary path, so per-site totals reconcile *exactly* with the global
 ``RunStats`` counters — :func:`reconcile` asserts that invariant and
 the tier-1 suite runs it over the Table 1 workloads.
 
@@ -35,16 +34,14 @@ from typing import Optional, Sequence
 #: - ``elided``: statically elided checks revalidated by ``recheck``;
 #: - ``locked``: lockset-refined checks discharged via the held-lock
 #:   probe;
-#: - ``ai``: abstract-interpretation-marked checks revalidated by
-#:   ``recheck`` (interval-proved covers, repro.sharc.absint);
 #: - ``miss``: walks that left the fast path (``slow > 0`` granules);
 #: - ``conflicts``: walks that produced a conflict record;
 #: - ``cost``: total charged check steps at this site.
-SITE_FIELDS = ("solo", "full", "range", "elided", "locked", "ai",
-               "miss", "conflicts", "cost")
+SITE_FIELDS = ("solo", "full", "range", "elided", "locked", "miss",
+               "conflicts", "cost")
 
-(I_SOLO, I_FULL, I_RANGE, I_ELIDED, I_LOCKED, I_AI, I_MISS,
- I_CONFLICTS, I_COST) = range(len(SITE_FIELDS))
+(I_SOLO, I_FULL, I_RANGE, I_ELIDED, I_LOCKED, I_MISS, I_CONFLICTS,
+ I_COST) = range(len(SITE_FIELDS))
 
 N_FIELDS = len(SITE_FIELDS)
 
@@ -124,8 +121,7 @@ def reconcile(sites: dict, stats) -> list:
     - ``sum(range) == stats.checks_range``
     - ``sum(elided) == stats.checks_elided``
     - ``sum(locked) == stats.checks_locked_refined``
-    - ``sum(ai) == stats.checks_ai_elided``
-    - ``sum(solo + full + range + elided + locked + ai)
+    - ``sum(solo + full + range + elided + locked)
       == stats.accesses_dynamic``
     """
     got = totals(sites)
@@ -134,8 +130,7 @@ def reconcile(sites: dict, stats) -> list:
             ("full", stats.checks_full),
             ("range", stats.checks_range),
             ("elided", stats.checks_elided),
-            ("locked", stats.checks_locked_refined),
-            ("ai", stats.checks_ai_elided)):
+            ("locked", stats.checks_locked_refined)):
         if got[name] != expected:
             problems.append(f"sites.{name} = {got[name]} != "
                             f"stats {expected}")
@@ -162,7 +157,7 @@ def render_hot_sites(sites: dict, source: Optional[str] = None,
         f"hot check sites ({len(sites)} site(s), "
         f"{head['checks']} checks, cost {head['cost']}):",
         f"  {'site':<34} {'op':>2} {'cost':>8} {'full':>7} "
-        f"{'range':>7} {'elide':>7} {'lock':>6} {'ai':>6} "
+        f"{'range':>7} {'elide':>7} {'lock':>6} "
         f"{'solo':>7} {'miss':>6} {'confl':>5}",
     ]
     for row in rows:
@@ -170,7 +165,7 @@ def render_hot_sites(sites: dict, source: Optional[str] = None,
         lines.append(
             f"  {where:<34} {row['op']:>2} {row['cost']:>8} "
             f"{row['full']:>7} {row['range']:>7} {row['elided']:>7} "
-            f"{row['locked']:>6} {row['ai']:>6} {row['solo']:>7} "
+            f"{row['locked']:>6} {row['solo']:>7} "
             f"{row['miss']:>6} {row['conflicts']:>5}")
         if 0 < row["line"] <= len(src_lines):
             lines.append(f"      {row['line']:>4} | "

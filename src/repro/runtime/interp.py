@@ -38,6 +38,9 @@ from repro.obs.events import (
     CAT_CHECK, CAT_CONFLICT, CAT_SCAST, CAT_SCHED, TraceBus, TraceConfig,
 )
 from repro.obs.history import AccessHistory
+from repro.obs.sitestats import (
+    I_CONFLICTS, I_COST, I_MISS, I_RANGE, I_SOLO, new_counter,
+)
 from repro.cfront.ctypes import ArrayType, FuncType, QualType, StructType
 from repro.sharc.checker import CheckedProgram
 from repro.sharc.reports import (
@@ -47,6 +50,7 @@ from repro.sharc.reports import (
 from repro.sharc.typecheck import AccessInfo
 from repro.runtime.addrspace import AddressSpace
 from repro.runtime.builtins import IMPLS
+from repro.runtime.dyncheck import dynamic_check
 from repro.runtime.locks import LockTable
 from repro.runtime.refcount import make_scheme
 from repro.runtime.scheduler import (
@@ -206,7 +210,6 @@ class Interp:
                  checker: str = "sharc",
                  checkelim: bool = True,
                  lockset: bool = True,
-                 absint: bool = True,
                  record_trace: bool = False,
                  trace: Optional[TraceConfig] = None) -> None:
         self.checked = checked
@@ -223,13 +226,6 @@ class Interp:
         #: ``--no-lockset`` is bit-identical in reports, steps, and
         #: scheduler RNG.
         self.lockset = lockset
-        #: consume the abstract interpreter's interval-proved marks
-        #: (repro.sharc.absint)?  Same ablation contract again:
-        #: ``--no-absint`` is bit-identical in reports, steps, and
-        #: scheduler RNG — every ``ai_elide`` discharge revalidates
-        #: through ``ShadowMemory.recheck`` and every ``ai_range``
-        #: route uses the semantically identical range-batched APIs.
-        self.absint = absint
         #: "sharc" (mode-targeted checks) or "eraser" (the lockset
         #: baseline of Section 6.2: every access monitored)
         self.eraser = None
@@ -337,16 +333,15 @@ class Interp:
                      thread: Thread, frame: Frame, is_write: bool):
         """Performs one attached runtime check.  A generator only
         because lock checks evaluate their lock expression in the
-        current environment; the (much hotter) dynamic checks run in
-        the plain :meth:`_dynamic_check`, skipping the per-access
-        generator frame.  The check kind was resolved once at
-        instrumentation time (``info.is_lock``) instead of re-deriving
-        it from the mode on every access."""
+        current environment; dynamic checks run the site's closure
+        (:mod:`repro.runtime.dyncheck`), the same one the compiled
+        backend binds.  The check kind was resolved once at
+        instrumentation time (``info.is_lock``)."""
         if info.is_lock:
             yield from self._lock_check(info, addr, size, thread, frame,
                                         is_write)
         else:
-            self._dynamic_check(info, addr, size, thread, is_write)
+            dynamic_check(info, size, is_write)(self, thread, addr)
 
     def _lock_check(self, info: AccessInfo, addr: int, size: int,
                     thread: Thread, frame: Frame, is_write: bool):
@@ -379,154 +374,6 @@ class Interp:
                           hit=held, lvalue=info.lvalue_text)
         self.stats.accesses_locked += 1
 
-    def _dynamic_check(self, info: AccessInfo, addr: int, size: int,
-                       thread: Thread, is_write: bool) -> None:
-        """dynamic / dynamic_in: the n-readers-or-1-writer discipline.
-
-        Every branch also lands in the per-site attribution counters
-        (``stats.sites``, :mod:`repro.obs.sitestats` layout) — pure
-        observation, so it cannot perturb steps, reports, or RNG."""
-        stats = self.stats
-        stats.accesses_dynamic += 1
-        site = stats.sites.get(info.site_key_w if is_write
-                               else info.site_key_r)
-        if site is None:
-            site = stats.sites[info.site_key_w if is_write
-                               else info.site_key_r] = [0] * 9
-        if self.sched.live_count <= 1:
-            # Only one live thread: a spawn happens-after every access
-            # made so far, so these accesses can never be part of a race;
-            # recording them would only manufacture init-then-share false
-            # positives.  The check degenerates to a thread-count test.
-            # Provenance is still recorded: a later conflict's history
-            # should show the single-threaded initialisation too.
-            site[0] += 1  # solo
-            site[8] += 1  # cost
-            self._charge_check(1)
-            if self.history is not None:
-                self.history.record(addr, size, thread.tid,
-                                    info.lvalue_text, info.loc, is_write,
-                                    stats.steps_total)
-            return
-        if info.elide and self.checkelim \
-                and self.shadow.recheck(addr, size, thread.tid, is_write):
-            # Statically elided check, revalidated by the runtime guard:
-            # ``recheck`` has already replayed exactly the fast path the
-            # full check would have taken (same counters, no conflict
-            # possible, no bitmap writes), so history, cost, and trace
-            # below are byte-identical to the elimination-off run.
-            stats.checks_elided += 1
-            site[3] += 1  # elided
-            site[8] += 1  # cost
-            if self.history is not None:
-                self.history.record(addr, size, thread.tid,
-                                    info.lvalue_text, info.loc, is_write,
-                                    stats.steps_total)
-            self._charge_check(1)
-            if self.bus is not None:
-                self.bus.emit(CAT_CHECK,
-                              "chkwrite" if is_write else "chkread",
-                              thread.tid, dur=1, hit=True,
-                              conflict=False, elided=True,
-                              lvalue=info.lvalue_text)
-            return
-        if info.lockset_refined and self.lockset \
-                and self.locks.holds_for_access(
-                    thread.tid,
-                    self.globals_env.get(info.refined_lock, -1),
-                    is_write) \
-                and self.shadow.recheck_locked(addr, size, thread.tid,
-                                               is_write, info.lvalue_text,
-                                               info.loc):
-            # locked(l)-refined check: the static lockset analysis proved
-            # every access to this location holds ``refined_lock``; the
-            # held-lock-log test confirms it here, and ``recheck_locked``
-            # discharges the shadow walk whenever the full check would
-            # have been conflict-free at cost 1, replaying its exact
-            # effects — so a wrong mark costs a probe, never a missed
-            # race, and history, cost, and trace stay byte-identical to
-            # the --no-lockset run.
-            stats.checks_locked_refined += 1
-            site[4] += 1  # locked
-            site[8] += 1  # cost
-            if self.history is not None:
-                self.history.record(addr, size, thread.tid,
-                                    info.lvalue_text, info.loc, is_write,
-                                    stats.steps_total)
-            self._charge_check(1)
-            if self.bus is not None:
-                self.bus.emit(CAT_CHECK,
-                              "chkwrite" if is_write else "chkread",
-                              thread.tid, dur=1, hit=True,
-                              conflict=False, locked=True,
-                              lvalue=info.lvalue_text)
-            return
-        if info.ai_elide and self.absint \
-                and self.shadow.recheck(addr, size, thread.tid, is_write):
-            # Interval-proved cover (repro.sharc.absint): same runtime
-            # guard as the checkelim elision — ``recheck`` replays the
-            # exact fast path the full check would have taken, so a
-            # wrong mark costs one predicate test and history, cost,
-            # and trace stay byte-identical to the --no-absint run.
-            stats.checks_ai_elided += 1
-            site[5] += 1  # ai
-            site[8] += 1  # cost
-            if self.history is not None:
-                self.history.record(addr, size, thread.tid,
-                                    info.lvalue_text, info.loc, is_write,
-                                    stats.steps_total)
-            self._charge_check(1)
-            if self.bus is not None:
-                self.bus.emit(CAT_CHECK,
-                              "chkwrite" if is_write else "chkread",
-                              thread.tid, dur=1, hit=True,
-                              conflict=False, ai=True,
-                              lvalue=info.lvalue_text)
-            return
-        shadow = self.shadow
-        if (info.range_walk and self.checkelim) \
-                or (info.ai_range and self.absint):
-            # Monotone array walk: the range-batched APIs (identical
-            # semantics, page lookup hoisted out of the granule loop).
-            # ``ai_range`` marks come from the abstract interpreter
-            # (loops whose calls are all proven check-free).
-            chk = (shadow.chkwrite_range if is_write
-                   else shadow.chkread_range)
-            stats.checks_range += 1
-            site[2] += 1  # range
-        else:
-            chk = shadow.chkwrite if is_write else shadow.chkread
-            stats.checks_full += 1
-            site[1] += 1  # full
-        conflict, slow = chk(addr, size, thread.tid, info.lvalue_text,
-                             info.loc)
-        if slow:
-            site[6] += 1  # miss (left the fast path)
-        if conflict is not None:
-            site[7] += 1  # conflicts
-            who = Access(thread.tid, info.lvalue_text, info.loc)
-            # Provenance is fetched *before* recording this access,
-            # so the hist lines show the accesses leading up to it.
-            hist = (self.history.provenance(addr, size)
-                    if self.history is not None else ())
-            make = write_conflict if is_write else read_conflict
-            self._report(make(addr, who, conflict.as_access(), hist))
-        if self.history is not None:
-            self.history.record(addr, size, thread.tid, info.lvalue_text,
-                                info.loc, is_write,
-                                stats.steps_total)
-        # Fast path (bits already set): a load + test.  Slow path:
-        # a cmpxchg per granule.
-        cost = 1 + 3 * slow
-        site[8] += cost
-        self._charge_check(cost)
-        if self.bus is not None:
-            self.bus.emit(CAT_CHECK,
-                          "chkwrite" if is_write else "chkread",
-                          thread.tid, dur=cost, hit=(slow == 0),
-                          conflict=conflict is not None,
-                          lvalue=info.lvalue_text)
-
     def summary_access(self, node: A.Call, arg_index: int, addr: int,
                        length: int, thread: Thread) -> None:
         """Applies a library call's read/write summary over the byte range
@@ -544,10 +391,10 @@ class Interp:
                                     else info.site_key_r)
         if site is None:
             site = self.stats.sites[info.site_key_w if is_write
-                                    else info.site_key_r] = [0] * 9
+                                    else info.site_key_r] = new_counter()
         if self._solo():
-            site[0] += 1  # solo
-            site[8] += 1  # cost
+            site[I_SOLO] += 1
+            site[I_COST] += 1
             self._charge_check(1)
             if self.history is not None:
                 self.history.record(addr, length, thread.tid,
@@ -581,18 +428,18 @@ class Interp:
                                            conflict.as_access(), hist))
         if counted:
             self.stats.checks_range += 1
-            site[2] += 1  # range
+            site[I_RANGE] += 1
             if slow:
-                site[6] += 1  # miss
+                site[I_MISS] += 1
             if conflict is not None:
-                site[7] += 1  # conflicts
+                site[I_CONFLICTS] += 1
         if self.history is not None and rw:
             self.history.record(addr, length, thread.tid,
                                 info.lvalue_text, info.loc, is_write,
                                 self.stats.steps_total)
         cost = 1 + 3 * slow
         self._charge_check(cost)
-        site[8] += cost
+        site[I_COST] += cost
         if self.bus is not None:
             self.bus.emit(CAT_CHECK,
                           "chkwrite" if is_write else "chkread",
@@ -663,7 +510,7 @@ class Interp:
                     yield from self._lock_check(info, addr, size, thread,
                                                 frame, False)
                 else:
-                    self._dynamic_check(info, addr, size, thread, False)
+                    dynamic_check(info, size, False)(self, thread, addr)
         yield self._flush()
         return self.space.read(addr, node.loc)
 
@@ -689,7 +536,7 @@ class Interp:
                     yield from self._lock_check(info, addr, size, thread,
                                                 frame, True)
                 else:
-                    self._dynamic_check(info, addr, size, thread, True)
+                    dynamic_check(info, size, True)(self, thread, addr)
         yield self._flush()
         old = self.space.write(addr, value, node.loc)
         if rc_track:
@@ -1465,7 +1312,6 @@ def run_checked(checked: CheckedProgram, *, seed: int = 0,
                 checker: str = "sharc",
                 checkelim: bool = True,
                 lockset: bool = True,
-                absint: bool = True,
                 record_trace: bool = False,
                 trace: Optional[TraceConfig] = None,
                 backend: Optional[str] = None) -> RunResult:
@@ -1473,11 +1319,10 @@ def run_checked(checked: CheckedProgram, *, seed: int = 0,
     spec string (``"random"``, ``"pct:4"``, ...) or a
     :class:`~repro.runtime.scheduler.SchedulingPolicy` instance.
     ``trace`` enables structured event tracing (:mod:`repro.obs`);
-    ``checkelim=False`` ablates the static check eliminator,
-    ``lockset=False`` the locked(l) qualifier refinement, and
-    ``absint=False`` the abstract interpreter's interval-proved
-    discharges.  ``backend`` selects the executor: ``"interp"`` (the
-    tree-walker) or ``"compiled"`` (:mod:`repro.compile`), which runs
+    ``checkelim=False`` ablates the static check eliminator and
+    ``lockset=False`` the locked(l) qualifier refinement.  ``backend``
+    selects the executor: ``"interp"`` (the tree-walker) or
+    ``"compiled"`` (:mod:`repro.compile`), which runs
     the same program bit-identically — same steps, reports, and
     scheduler RNG — at a multiple of the throughput; ``None`` defers
     to ``SHARC_BACKEND``."""
@@ -1486,7 +1331,6 @@ def run_checked(checked: CheckedProgram, *, seed: int = 0,
                          instrument=instrument, shadow_bytes=shadow_bytes,
                          max_burst=max_burst, checker=checker,
                          checkelim=checkelim, lockset=lockset,
-                         absint=absint,
                          record_trace=record_trace, trace=trace)
     result = interp.run(max_steps=max_steps)
     if record_trace:

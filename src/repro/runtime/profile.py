@@ -148,15 +148,14 @@ class ProfileReport:
 def profile_source(source: str, filename: str = "<input>", *,
                    seed: int = 0, rc_scheme: str = "lp",
                    max_steps: int = 2_000_000, checkelim: bool = True,
-                   lockset: bool = True, absint: bool = True,
+                   lockset: bool = True,
                    backend: Optional[str] = None,
                    profiler: Optional[Profiler] = None) -> ProfileReport:
     """Profiles the full pipeline over one program: static phases, a
     baseline (uninstrumented) run, and the instrumented run.
 
-    ``checkelim=False`` ablates the static check eliminator,
-    ``lockset=False`` the locked(l) refinement, and ``absint=False``
-    the abstract interpreter's discharges in the instrumented run
+    ``checkelim=False`` ablates the static check eliminator and
+    ``lockset=False`` the locked(l) refinement in the instrumented run
     (reports and step counts are identical either way; only check costs
     move)."""
     from repro.errors import SharcError
@@ -184,7 +183,7 @@ def profile_source(source: str, filename: str = "<input>", *,
     with prof.phase("instrumented"):
         sharc = run_checked(checked, seed=seed, rc_scheme=rc_scheme,
                             max_steps=max_steps, checkelim=checkelim,
-                            lockset=lockset, absint=absint,
+                            lockset=lockset,
                             backend=backend)
     report.sharc_steps = sharc.stats.steps_total
     report.sharc_wall = sharc.stats.wall_seconds
@@ -195,5 +194,4 @@ def profile_source(source: str, filename: str = "<input>", *,
     prof.count("checks_range", sharc.stats.checks_range)
     prof.count("checks_elided", sharc.stats.checks_elided)
     prof.count("checks_locked_refined", sharc.stats.checks_locked_refined)
-    prof.count("checks_ai_elided", sharc.stats.checks_ai_elided)
     return report

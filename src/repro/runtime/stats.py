@@ -57,10 +57,6 @@ class RunStats:
     #: dynamic checks discharged through the held-lock log because the
     #: static lockset analysis refined the location to locked(l)
     checks_locked_refined: int = 0
-    #: statically marked checks discharged by ``ShadowMemory.recheck``
-    #: on the strength of the abstract interpreter's interval proofs
-    #: (repro.sharc.absint) — covers checkelim's dataflow cannot see
-    checks_ai_elided: int = 0
     rc_writes: int = 0
     rc_collections: int = 0
     lock_acquisitions: int = 0
@@ -72,6 +68,11 @@ class RunStats:
     #: per-site sums reconcile exactly with the ``checks_*`` counters
     #: above (:func:`repro.obs.sitestats.reconcile`).
     sites: dict = field(default_factory=dict)
+
+    #: Benchmark compat, not a field: perfbench's traced run still adds
+    #: this to its discharge count.  Goes away with that layer of
+    #: perfbench; there is no abstract-interpretation tier.
+    checks_ai_elided = 0
 
     #: wall-clock duration of the run loop.  Observability only — every
     #: Table 1 metric stays in deterministic steps; wall time feeds the
@@ -125,22 +126,10 @@ class RunStats:
         """Fraction of would-be dynamic checks discharged through the
         held-lock log thanks to locked(l) lockset refinement."""
         total = (self.checks_full + self.checks_range
-                 + self.checks_elided + self.checks_locked_refined
-                 + self.checks_ai_elided)
+                 + self.checks_elided + self.checks_locked_refined)
         if total <= 0:
             return 0.0
         return self.checks_locked_refined / total
-
-    @property
-    def checks_ai_elided_pct(self) -> float:
-        """Fraction of would-be dynamic checks discharged by the
-        abstract interpreter's interval-proved marks."""
-        total = (self.checks_full + self.checks_range
-                 + self.checks_elided + self.checks_locked_refined
-                 + self.checks_ai_elided)
-        if total <= 0:
-            return 0.0
-        return self.checks_ai_elided / total
 
     @property
     def metadata_pages(self) -> int:

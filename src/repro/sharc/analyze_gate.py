@@ -19,18 +19,8 @@ two ``static-race`` diagnostics on its planner handoff — the
 ownership-transfer false-positive class that lockset reasoning, static
 or dynamic, cannot see (EXPERIMENTS.md § "Static lockset analysis").
 
-Since the abstract-interpretation tier, the gate also covers the
-``--ai`` view: every target is checked for absint *consistency* (the
-interference fixpoint terminated, the interval verdicts cover exactly
-the reported static races, and the ``sharc-analyze/1`` upgrade shim —
-the without-``--ai`` view of the same target — yields identical race
-keys), and the golden file (``sharc-analyze-golden/2``) additionally
-pins each target's interval-refuted/-confirmed verdict counts.  A
-``sharc-analyze-golden/1`` file is still accepted; it simply pins no
-absint counts.
-
 ``--out-dir`` additionally writes each target's full ``sharc analyze
---json`` payload (schema ``sharc-analyze/2``), which CI uploads as
+--json`` payload (schema ``sharc-analyze/3``), which CI uploads as
 build artifacts.
 """
 
@@ -42,8 +32,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-GOLDEN_SCHEMA_V1 = "sharc-analyze-golden/1"
-GOLDEN_SCHEMA = "sharc-analyze-golden/2"
+GOLDEN_SCHEMA = "sharc-analyze-golden/3"
 DEFAULT_GOLDEN = "ci/analyze_golden.json"
 DEFAULT_EXAMPLES = "examples"
 
@@ -96,64 +85,18 @@ def golden_from_payloads(payloads: dict[str, dict]) -> dict:
         "races": {name: sorted(r["key"]
                                for r in payload["static_races"])
                   for name, payload in payloads.items()},
-        "absint": {name: {"refuted": payload["absint"]["refuted"],
-                          "confirmed": payload["absint"]["confirmed"]}
-                   for name, payload in payloads.items()},
     }
 
 
-def check_ai_consistency(payloads: dict[str, dict]) -> list[str]:
-    """The absint layer must decorate the lockset findings, never
-    perturb them: each payload's interval verdicts cover exactly the
-    reported static races, the interference fixpoint terminated, and
-    the ``sharc-analyze/1`` upgrade shim — the without-``--ai`` view
-    of the same target — round-trips to identical race keys."""
-    from repro.cli import ANALYZE_SCHEMA_V1, upgrade_analyze_payload
-
-    problems: list[str] = []
-    for name, payload in sorted(payloads.items()):
-        if not payload["ok"]:
-            continue  # reported by check_golden
-        ai = payload.get("absint")
-        if not isinstance(ai, dict):
-            problems.append(f"{name}: payload has no absint section")
-            continue
-        if not ai.get("terminated", False):
-            problems.append(f"{name}: interference fixpoint did not "
-                            f"terminate ({ai.get('rounds')} rounds)")
-        keys = sorted(r["key"] for r in payload["static_races"])
-        verdicts = ai.get("verdicts", [])
-        if ai.get("refuted", 0) + ai.get("confirmed", 0) \
-                != len(verdicts):
-            problems.append(f"{name}: absint refuted+confirmed counts "
-                            "disagree with the verdict list")
-        covered = sorted(f"static-race {v['location']}@{v['line']}"
-                         for v in verdicts)
-        if covered != keys:
-            problems.append(f"{name}: absint verdicts do not cover "
-                            "the static races one-to-one")
-        legacy = {k: v for k, v in payload.items() if k != "absint"}
-        legacy["schema"] = ANALYZE_SCHEMA_V1
-        upgraded = upgrade_analyze_payload(legacy)
-        if sorted(r["key"] for r in upgraded["static_races"]) != keys:
-            problems.append(f"{name}: /1 -> /2 upgrade shim perturbed "
-                            "the race keys")
-    return problems
-
-
 def check_golden(golden: dict, payloads: dict[str, dict]) -> list[str]:
-    """Diffs measured static-race keys (and, for a /2 golden, absint
-    verdict counts) against the golden; returns problems (empty = gate
-    passes)."""
+    """Diffs measured static-race keys against the golden; returns
+    problems (empty = gate passes)."""
     problems: list[str] = []
-    if golden.get("schema") not in (GOLDEN_SCHEMA, GOLDEN_SCHEMA_V1):
+    if golden.get("schema") != GOLDEN_SCHEMA:
         problems.append(f"golden schema != {GOLDEN_SCHEMA!r}")
     expected = golden.get("races")
     if not isinstance(expected, dict):
         return problems + ["golden 'races' missing"]
-    expected_ai = golden.get("absint")
-    if not isinstance(expected_ai, dict):
-        expected_ai = {}  # /1 golden: no absint counts pinned
     for name, payload in sorted(payloads.items()):
         if not payload["ok"]:
             problems.append(f"{name}: does not type-check: "
@@ -172,14 +115,6 @@ def check_golden(golden: dict, payloads: dict[str, dict]) -> list[str]:
             if key not in got:
                 problems.append(f"{name}: golden expects {key}, "
                                 "no longer reported (stale golden)")
-        want_ai = expected_ai.get(name)
-        if want_ai is not None:
-            got_ai = {"refuted": payload["absint"]["refuted"],
-                      "confirmed": payload["absint"]["confirmed"]}
-            if got_ai != want_ai:
-                problems.append(
-                    f"{name}: absint verdicts {got_ai} != golden "
-                    f"{want_ai} (regenerate with --update if intended)")
     for name in sorted(set(expected) - set(payloads)):
         problems.append(f"{name}: in golden but not analyzed "
                         "(removed target? regenerate with --update)")
@@ -207,15 +142,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     payloads = analyze_targets(gate_targets(args.examples_dir),
                                out_dir=args.out_dir)
     races = sum(len(p["static_races"]) for p in payloads.values())
-    refuted = sum(p["absint"]["refuted"] for p in payloads.values())
-    print(f"analyzed {len(payloads)} target(s): {races} static "
-          f"race(s), {refuted} interval-refuted")
-
-    ai_problems = check_ai_consistency(payloads)
-    if ai_problems:
-        print("analyze gate FAILED (absint consistency):\n  "
-              + "\n  ".join(ai_problems), file=sys.stderr)
-        return 1
+    print(f"analyzed {len(payloads)} target(s): {races} static race(s)")
 
     if args.update:
         with open(args.golden, "w", encoding="utf-8") as handle:

@@ -16,12 +16,12 @@ artifacts the runtime needs (the RC-tracked shape set).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from repro.errors import Diagnostic, DiagnosticSink, SharcError
 from repro.cfront import cast as A
 from repro.cfront.parser import parse_program
 from repro.cfront.pretty import pretty_program
-from repro.sharc.absint import AbsintResult, analyze_absint
 from repro.sharc.checkelim import ElimStats, mark_elisions
 from repro.sharc.inference import InferenceResult, infer_program
 from repro.sharc.instrument import (
@@ -52,12 +52,6 @@ class CheckedProgram:
     #: interpreter's ``lockset`` switch decides whether they are
     #: consumed.  Static races are warnings kept out of ``ok``.
     lockset_result: LocksetResult = field(default_factory=LocksetResult)
-    #: thread-modular abstract interpretation (repro.sharc.absint):
-    #: interval-proved discharge marks (``ai_elide`` / ``ai_range``) and
-    #: interval verdicts on the lockset pass's static races.  Marks are
-    #: always computed; the runtime ``absint`` switch decides
-    #: consumption, so the ablation stays bit-identical.
-    absint_result: AbsintResult = field(default_factory=AbsintResult)
 
     @property
     def ok(self) -> bool:
@@ -88,6 +82,18 @@ class CheckedProgram:
         return self.sink.render()
 
 
+#: Benchmark compat: perfbench's traced run still spans a
+#: ``sharc.absint`` pass and reads these zero counters.  Goes away with
+#: that layer of perfbench; there is no abstract-interpretation tier.
+_NO_ABSINT = SimpleNamespace(
+    stats=SimpleNamespace(ai_elided=0, ai_ranges=0), rounds=0)
+
+
+def analyze_absint(*_args):
+    """Benchmark compat no-op; see :data:`_NO_ABSINT`."""
+    return _NO_ABSINT
+
+
 def check_program(program: A.Program, source: str = "",
                   filename: str = "<input>",
                   rc_all: bool = False) -> CheckedProgram:
@@ -98,12 +104,9 @@ def check_program(program: A.Program, source: str = "",
     rc_stats = mark_rc_writes(program, inference, rc_all=rc_all)
     elim_stats = mark_elisions(program)
     lockset_result = analyze_locksets(program, inference.seeds)
-    absint_result = analyze_absint(program, inference.seeds,
-                                   lockset_result,
-                                   structs=program.structs)
+    analyze_absint(program)  # benchmark compat, see _NO_ABSINT
     return CheckedProgram(program, sink, inference, stats, rc_stats,
-                          source, filename, elim_stats, lockset_result,
-                          absint_result)
+                          source, filename, elim_stats, lockset_result)
 
 
 def check_source(source: str, filename: str = "<input>",

@@ -338,8 +338,6 @@ class StaticRace:
         # Stable key used by the differential sweep to line static
         # findings up against dynamic report keys.
         diag.message_key = f"{self.text}@{self.write.loc.line}"
-        # Abstract-location key for downstream scoring (absint verdicts).
-        diag.race_key_tuple = self.key
         return diag
 
 

@@ -74,22 +74,16 @@ class AccessInfo:
     #: ``refined_lock`` (a program global mutex) is indeed held.
     lockset_refined: bool = field(init=False, default=False)
     refined_lock: Optional[str] = field(init=False, default=None)
-    #: abstract-interpretation marks (repro.sharc.absint).  ``ai_elide``:
-    #: the interval analysis proved a dominating same-granule cover
-    #: (possibly across check-free calls or under a symbolic index
-    #: offset) — dischargeable through the same ``recheck`` guard as
-    #: ``elide``, behind the separate runtime ``absint`` switch.
-    #: ``ai_range``: a monotone array walk checkelim skipped (the loop
-    #: calls functions, all proven check-free) — route through the
-    #: range-batched APIs when ``absint`` is on.
-    ai_elide: bool = field(init=False, default=False)
-    ai_range: bool = field(init=False, default=False)
     #: precomputed per-site attribution keys (repro.obs.sitestats):
     #: ``(file, line, lvalue, op)`` for the read and write flavour of
     #: this occurrence, built once here so the hot check paths never
     #: allocate a key tuple per access
     site_key_r: tuple = field(init=False, default=())
     site_key_w: tuple = field(init=False, default=())
+    #: the site's dynamic-check closures per ``(size, is_write)``, built
+    #: from the fields above on first use (repro.runtime.dyncheck)
+    checks: dict = field(init=False, default_factory=dict, repr=False,
+                         compare=False)
 
     def __post_init__(self) -> None:
         self.is_lock = self.mode.is_locked

@@ -128,88 +128,6 @@ class TestJson:
         assert payload["static_races"]
 
 
-class TestAbsintSection:
-    def test_payload_absint_shape(self, racy_file, capsys):
-        assert main(["analyze", racy_file, "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        ai = payload["absint"]
-        assert ai["terminated"] is True
-        assert ai["rounds"] >= 1
-        assert ai["refuted"] + ai["confirmed"] == len(ai["verdicts"])
-        # every verdict decorates a reported static race
-        keys = {r["key"] for r in payload["static_races"]}
-        for v in ai["verdicts"]:
-            assert (f"static-race {v['location']}@{v['line']}"
-                    in keys)
-            assert v["verdict"] in ("interval-refuted",
-                                    "interval-confirmed")
-
-    def test_ai_flag_prints_section(self, racy_file, capsys):
-        assert main(["analyze", racy_file, "--ai"]) == 0
-        out = capsys.readouterr().out
-        assert "== abstract interpretation ==" in out
-        assert "absint:" in out
-
-    def test_race_lines_carry_verdicts(self, racy_file, capsys):
-        assert main(["analyze", racy_file]) == 0
-        out = capsys.readouterr().out
-        assert "absint: interval-" in out
-
-
-class TestUpgradeShim:
-    """Round-trip coverage for the sharc-analyze/1 -> /2 shim."""
-
-    def _payload(self, path, capsys):
-        assert main(["analyze", path, "--json"]) == 0
-        return json.loads(capsys.readouterr().out)
-
-    def test_v2_passes_through_unchanged(self, locked_file, capsys):
-        from repro.cli import upgrade_analyze_payload
-
-        payload = self._payload(locked_file, capsys)
-        assert upgrade_analyze_payload(payload) == payload
-
-    def test_v1_round_trips_to_v2(self, racy_file, capsys):
-        from repro.cli import (ANALYZE_SCHEMA, ANALYZE_SCHEMA_V1,
-                               upgrade_analyze_payload)
-
-        payload = self._payload(racy_file, capsys)
-        legacy = {k: v for k, v in payload.items() if k != "absint"}
-        legacy["schema"] = ANALYZE_SCHEMA_V1
-        upgraded = upgrade_analyze_payload(legacy)
-        assert upgraded["schema"] == ANALYZE_SCHEMA
-        assert upgraded["upgraded_from"] == ANALYZE_SCHEMA_V1
-        # the shim must not invent analysis results: neutral defaults
-        ai = upgraded["absint"]
-        assert ai["terminated"] is True
-        assert ai["rounds"] == 0
-        assert ai["refuted"] == 0 and ai["confirmed"] == 0
-        assert ai["verdicts"] == []
-        # ...and must not perturb anything it did not add
-        for key, value in legacy.items():
-            if key != "schema":
-                assert upgraded[key] == value
-
-    def test_v1_input_is_not_mutated(self, racy_file, capsys):
-        from repro.cli import (ANALYZE_SCHEMA_V1,
-                               upgrade_analyze_payload)
-
-        payload = self._payload(racy_file, capsys)
-        legacy = {k: v for k, v in payload.items() if k != "absint"}
-        legacy["schema"] = ANALYZE_SCHEMA_V1
-        before = json.dumps(legacy, sort_keys=True)
-        upgrade_analyze_payload(legacy)
-        assert json.dumps(legacy, sort_keys=True) == before
-
-    def test_unknown_schema_rejected(self):
-        import pytest as _pytest
-
-        from repro.cli import upgrade_analyze_payload
-
-        with _pytest.raises(ValueError):
-            upgrade_analyze_payload({"schema": "sharc-analyze/99"})
-
-
 class TestWorkloadSources:
     """The CI lint gate runs analyze over the Table 1 workload sources;
     keep that path healthy from the test suite too."""
@@ -274,45 +192,14 @@ class TestAnalyzeGate:
                           "--examples-dir", str(tmp_path)]) == 2
         assert "--update" in capsys.readouterr().err
 
-    def test_absint_count_drift_fails_gate(self):
+    def test_other_golden_schema_fails_gate(self):
         from repro.sharc.analyze_gate import (analyze_targets,
                                               check_golden, gate_targets,
                                               golden_from_payloads)
 
         payloads = analyze_targets(gate_targets(examples_dir=None))
         golden = golden_from_payloads(payloads)
-        golden["absint"]["workloads/fftw.annotated.c"]["refuted"] += 1
-        problems = check_golden(golden, payloads)
-        assert any("absint verdicts" in p for p in problems)
-
-    def test_v1_golden_still_accepted(self):
-        """A pre-absint golden pins race keys only; the gate must not
-        demand absint counts it cannot contain."""
-        from repro.sharc.analyze_gate import (GOLDEN_SCHEMA_V1,
-                                              analyze_targets,
-                                              check_golden, gate_targets,
-                                              golden_from_payloads)
-
-        payloads = analyze_targets(gate_targets(examples_dir=None))
-        golden = golden_from_payloads(payloads)
-        golden["schema"] = GOLDEN_SCHEMA_V1
-        del golden["absint"]
         assert check_golden(golden, payloads) == []
-
-    def test_ai_consistency_catches_tampered_verdicts(self):
-        import copy
-
-        from repro.sharc.analyze_gate import (analyze_targets,
-                                              check_ai_consistency,
-                                              gate_targets)
-
-        payloads = analyze_targets(
-            [t for t in gate_targets(examples_dir=None)
-             if "fftw" in t[0]])
-        assert check_ai_consistency(payloads) == []
-        broken = copy.deepcopy(payloads)
-        broken["workloads/fftw.annotated.c"]["absint"]["verdicts"] \
-            .pop()
-        problems = check_ai_consistency(broken)
-        assert any("one-to-one" in p for p in problems)
-        assert any("counts disagree" in p for p in problems)
+        golden["schema"] = "sharc-analyze-golden/2"
+        assert any("golden schema" in p
+                   for p in check_golden(golden, payloads))

@@ -7,9 +7,8 @@ import pytest
 
 from repro.cli import main
 from repro.bench.interp_bench import (
-    SCHEMA, SCHEMA_V1, SCHEMA_V2, SCHEMA_V3, bench_payload,
-    bench_workloads,
-    compare_payloads, upgrade_payload, validate_payload,
+    SCHEMA, bench_payload, bench_workloads, compare_payloads,
+    load_payload, validate_payload,
 )
 
 
@@ -129,29 +128,6 @@ class TestPayloadValidation:
         assert first.reports == second.reports
 
 
-def _strip_v4(payload):
-    """Remove the /4 backend/throughput generation, leaving what a
-    pre-compiled-backend baseline actually contained."""
-    del payload["backend"]
-    for entry in payload["workloads"].values():
-        for key in ("backend", "interp_steps_per_sec",
-                    "compiled_steps_per_sec", "compiled_speedup"):
-            del entry[key]
-    return payload
-
-
-def _v1_payload():
-    """A minimal legacy (schema /1) payload, as a committed baseline
-    from before the check-elimination PR would look."""
-    payload = _strip_v4(bench_payload(bench_workloads(["aget"])))
-    payload["schema"] = SCHEMA_V1
-    del payload["checkelim"]
-    for entry in payload["workloads"].values():
-        del entry["checks_per_1k_steps"]
-        del entry["checks_elided_pct"]
-    return payload
-
-
 class TestSchemaV2:
     def test_payload_carries_check_mix_fields(self):
         payload = bench_payload(bench_workloads(["aget"]))
@@ -161,49 +137,11 @@ class TestSchemaV2:
         assert entry["checks_per_1k_steps"] >= 0.0
         assert 0.0 <= entry["checks_elided_pct"] <= 1.0
 
-    def test_v1_payload_still_validates(self):
-        # Legacy baselines must not be rejected by the validator; the
-        # new fields are only required at /2.
-        assert validate_payload(_v1_payload()) == []
-
     def test_v2_payload_missing_new_fields_is_flagged(self):
         payload = bench_payload(bench_workloads(["aget"]))
         del payload["workloads"]["aget"]["checks_elided_pct"]
         problems = validate_payload(payload)
         assert any("checks_elided_pct" in p for p in problems)
-
-    def test_upgrade_shim_backfills_v1(self):
-        v1 = _v1_payload()
-        v2 = upgrade_payload(v1)
-        assert v2["schema"] == SCHEMA
-        assert v2["upgraded_from"] == SCHEMA_V1
-        entry = v2["workloads"]["aget"]
-        assert entry["checks_per_1k_steps"] == 0.0
-        assert entry["checks_elided_pct"] == 0.0
-        # The original payload is untouched (deep copy).
-        assert v1["schema"] == SCHEMA_V1
-        assert "checks_elided_pct" not in v1["workloads"]["aget"]
-
-    def test_upgrade_passes_v2_through(self):
-        payload = bench_payload(bench_workloads(["aget"]))
-        assert upgrade_payload(payload) is payload
-
-    def test_upgrade_rejects_unknown_schema(self):
-        with pytest.raises(ValueError, match="unsupported bench schema"):
-            upgrade_payload({"schema": "sharc-bench-interp/99"})
-
-
-def _v2_payload():
-    """A committed baseline from before the lockset-refinement PR:
-    schema /2 without the locked-check fields."""
-    payload = _strip_v4(bench_payload(bench_workloads(["aget"])))
-    payload["schema"] = SCHEMA_V2
-    del payload["lockset"]
-    for entry in payload["workloads"].values():
-        del entry["checks_locked_pct"]
-        del entry["lockset_refined"]
-    return payload
-
 
 class TestSchemaV3:
     def test_payload_carries_locked_check_fields(self):
@@ -214,59 +152,14 @@ class TestSchemaV3:
         assert 0.0 <= entry["checks_locked_pct"] <= 1.0
         assert entry["lockset_refined"] >= 0
 
-    def test_v2_payload_still_validates(self):
-        assert validate_payload(_v2_payload()) == []
-
     def test_v3_payload_missing_new_fields_is_flagged(self):
         payload = bench_payload(bench_workloads(["aget"]))
         del payload["workloads"]["aget"]["checks_locked_pct"]
         problems = validate_payload(payload)
         assert any("checks_locked_pct" in p for p in problems)
 
-    def test_upgrade_shim_backfills_v2(self):
-        v2 = _v2_payload()
-        v3 = upgrade_payload(v2)
-        assert v3["schema"] == SCHEMA
-        assert v3["upgraded_from"] == SCHEMA_V2
-        entry = v3["workloads"]["aget"]
-        assert entry["checks_locked_pct"] == 0.0
-        assert entry["lockset_refined"] == 0
-        # /2 fields were already there; untouched
-        assert entry["checks_elided_pct"] >= 0.0
-        # The original payload is untouched (deep copy).
-        assert v2["schema"] == SCHEMA_V2
-        assert "checks_locked_pct" not in v2["workloads"]["aget"]
-
-    def test_upgrade_shim_backfills_v1_with_both_generations(self):
-        v3 = upgrade_payload(_v1_payload())
-        assert v3["schema"] == SCHEMA
-        assert v3["upgraded_from"] == SCHEMA_V1
-        entry = v3["workloads"]["aget"]
-        assert entry["checks_elided_pct"] == 0.0
-        assert entry["checks_locked_pct"] == 0.0
-        assert entry["lockset_refined"] == 0
-
-    def test_v2_baseline_is_accepted_by_compare(self):
-        current = bench_payload(bench_workloads(["aget"]))
-        _, regressions = compare_payloads(_v2_payload(), current,
-                                          threshold=0.99)
-        assert regressions == []
-
-
-def _v3_payload():
-    """A committed baseline from before the compiled backend: schema /3
-    without the backend/throughput columns."""
-    payload = _strip_v4(bench_payload(bench_workloads(["aget"])))
-    payload["schema"] = SCHEMA_V3
-    return payload
-
 
 class TestSchemaV4:
-    """Every schema hop lands on /4: /1 -> /4 backfills three
-    generations of fields, /2 -> /4 two, /3 -> /4 only the
-    compiled-backend columns — and pre-/4 ``steps_per_sec`` (which
-    timed the interpreter) becomes ``interp_steps_per_sec``."""
-
     def test_payload_carries_backend_fields(self):
         payload = bench_payload(bench_workloads(["aget"]))
         assert payload["schema"] == SCHEMA
@@ -276,75 +169,11 @@ class TestSchemaV4:
         assert entry["compiled_steps_per_sec"] >= 0
         assert entry["compiled_speedup"] >= 0.0
 
-    def test_v3_payload_still_validates(self):
-        assert validate_payload(_v3_payload()) == []
-
     def test_v4_payload_missing_new_fields_is_flagged(self):
         payload = bench_payload(bench_workloads(["aget"]))
         del payload["workloads"]["aget"]["compiled_speedup"]
         problems = validate_payload(payload)
         assert any("compiled_speedup" in p for p in problems)
-
-    def test_upgrade_shim_backfills_v3(self):
-        v3 = _v3_payload()
-        v4 = upgrade_payload(v3)
-        assert v4["schema"] == SCHEMA
-        assert v4["upgraded_from"] == SCHEMA_V3
-        assert v4["backend"] == "interp"
-        entry = v4["workloads"]["aget"]
-        assert entry["backend"] == "interp"
-        assert entry["compiled_steps_per_sec"] == 0
-        assert entry["compiled_speedup"] == 0.0
-        # /3 timed the interpreter: its throughput becomes the interp
-        # column, not zero.
-        assert entry["interp_steps_per_sec"] == entry["steps_per_sec"]
-        # /3's own fields pass through untouched.
-        assert 0.0 <= entry["checks_locked_pct"] <= 1.0
-        assert entry["lockset_refined"] >= 0
-        # The original payload is untouched (deep copy).
-        assert v3["schema"] == SCHEMA_V3
-        assert "compiled_speedup" not in v3["workloads"]["aget"]
-
-    def test_upgrade_shim_backfills_v2_with_both_generations(self):
-        v4 = upgrade_payload(_v2_payload())
-        assert v4["schema"] == SCHEMA
-        assert v4["upgraded_from"] == SCHEMA_V2
-        entry = v4["workloads"]["aget"]
-        # /3 generation defaulted...
-        assert entry["checks_locked_pct"] == 0.0
-        assert entry["lockset_refined"] == 0
-        # ... and the /4 generation too.
-        assert entry["compiled_speedup"] == 0.0
-        assert entry["interp_steps_per_sec"] == entry["steps_per_sec"]
-
-    def test_upgrade_shim_backfills_v1_with_all_generations(self):
-        v4 = upgrade_payload(_v1_payload())
-        assert v4["schema"] == SCHEMA
-        assert v4["upgraded_from"] == SCHEMA_V1
-        entry = v4["workloads"]["aget"]
-        assert entry["checks_per_1k_steps"] == 0.0
-        assert entry["checks_elided_pct"] == 0.0
-        assert entry["checks_locked_pct"] == 0.0
-        assert entry["lockset_refined"] == 0
-        assert entry["backend"] == "interp"
-        assert entry["compiled_steps_per_sec"] == 0
-        assert entry["compiled_speedup"] == 0.0
-        assert entry["interp_steps_per_sec"] == entry["steps_per_sec"]
-
-    def test_every_upgraded_payload_validates_at_v4(self):
-        for legacy in (_v1_payload(), _v2_payload(), _v3_payload()):
-            assert validate_payload(upgrade_payload(legacy)) == []
-
-    def test_upgrade_passes_v4_through_unchanged(self):
-        payload = bench_payload(bench_workloads(["aget"]))
-        assert upgrade_payload(payload) is payload
-
-    def test_v3_baseline_is_accepted_by_compare(self):
-        current = bench_payload(bench_workloads(["aget"]))
-        _, regressions = compare_payloads(_v3_payload(), current,
-                                          threshold=0.99)
-        assert regressions == []
-
 
 class TestLocksetFlag:
     def test_no_lockset_payload_is_marked_and_unconverted(self, tmp_path):
@@ -380,14 +209,8 @@ class TestBenchCompare:
         assert "aget" in regressions[0]
         assert "REGRESSED" in table
 
-    def test_v1_baseline_is_accepted(self):
-        current = bench_payload(bench_workloads(["aget"]))
-        _, regressions = compare_payloads(_v1_payload(), current,
-                                          threshold=0.99)
-        assert regressions == []
-
     def test_cli_compare_exits_3_on_regression(self, tmp_path, capsys):
-        baseline = _v1_payload()
+        baseline = bench_payload(bench_workloads(["aget"]))
         for entry in baseline["workloads"].values():
             entry["steps_per_sec"] = entry["steps_per_sec"] * 1000
         old = tmp_path / "old.json"
@@ -405,6 +228,20 @@ class TestBenchCompare:
         assert main(["bench", "--workloads", "aget", "--out", "-",
                      "--compare", str(out)]) == 0
         assert "bench compare ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("schema", ["sharc-bench-interp/5",
+                                        "sharc-bench-interp/99"])
+    def test_other_schema_baseline_is_refused(self, tmp_path, capsys,
+                                              schema):
+        payload = bench_payload(bench_workloads(["aget"]))
+        payload["schema"] = schema
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="unsupported bench schema"):
+            load_payload(str(old))
+        assert main(["bench", "--workloads", "aget", "--out", "-",
+                     "--compare", str(old)]) == 2
+        assert "cannot read" in capsys.readouterr().err
 
 
 class TestCheckelimFlag:

@@ -147,6 +147,18 @@ class TestReportCommand:
         assert main(["report", str(tmp_path / "nope")]) == 2
         assert "telemetry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("schema", ["sharc-metrics/5",
+                                        "sharc-metrics/99"])
+    def test_other_metrics_schema_exits_2(self, campaign, capsys, schema):
+        path = os.path.join(campaign, "metrics.json")
+        with open(path) as handle:
+            payload = json.load(handle)
+        payload["schema"] = schema
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+        assert main(["report", campaign]) == 2
+        assert schema in capsys.readouterr().err
+
 
 class TestInterruptFlush:
     def test_partial_metrics_and_final_record_on_ctrl_c(

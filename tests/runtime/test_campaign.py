@@ -19,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import main as cli_main
 from repro.explore.campaign import (
-    CampaignConfig, CampaignTarget, load_manifest, run_campaign,
+    CAMPAIGN_SCHEMA, MANIFEST_NAME, CampaignConfig, CampaignTarget,
+    load_manifest, run_campaign,
 )
 from repro.obs.telemetry import (
     CampaignStatus, read_telemetry, validate_telemetry,
@@ -61,7 +62,7 @@ class TestCampaignBasics:
         assert summary.schedules == 24
         assert summary.shards_done == 4
         payload = json.loads(summary_bytes(directory))
-        assert payload["schema"] == "sharc-campaign/1"
+        assert payload["schema"] == CAMPAIGN_SCHEMA == "sharc-campaign/2"
         assert payload["schedules"] == 24
         assert payload["complete"] is True
         assert payload["distinct_traces"] == summary.distinct_traces
@@ -163,6 +164,22 @@ class TestResumeBitIdentical:
         with open(source_path, "a", encoding="utf-8") as handle:
             handle.write("\n// drift\n")
         with pytest.raises(ValueError, match="hash mismatch"):
+            run_campaign(None, directory, resume=True)
+
+    def test_resume_refuses_old_site_layout(self, tmp_path):
+        """A ``sharc-campaign/1`` directory's shard rows carry 9-wide
+        site counters; resume must refuse it rather than merge them
+        into 8-wide ones."""
+        directory = str(tmp_path / "camp")
+        run_campaign([racy_target()], directory, config=small_config(),
+                     stop_after=1)
+        path = os.path.join(directory, MANIFEST_NAME)
+        with open(path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["schema"] = "sharc-campaign/1"
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(ValueError, match="sharc-campaign/1"):
             run_campaign(None, directory, resume=True)
 
     def test_resume_ignores_caller_config_except_jobs(self, tmp_path):

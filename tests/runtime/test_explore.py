@@ -332,63 +332,6 @@ class TestDifferentialStatic:
         assert "static races:" in registry.render()
 
 
-class TestDifferentialAbsint:
-    """The AI precision column: each compile-time race carries the
-    abstract interpreter's interval verdict, and the column flows into
-    the metrics payload under sharc-metrics/5."""
-
-    def _sweep(self, absint=True):
-        from repro.explore import differential_sweep
-
-        source, _ = racy_c_program(3, kind="write-write")
-        return differential_sweep(source, "racy3.c", seeds=2,
-                                  policies=("random",),
-                                  max_steps=200_000, absint=absint)
-
-    def test_verdicts_cover_the_static_races(self):
-        summary = self._sweep()
-        assert summary.absint_rounds >= 1
-        assert (summary.absint_refuted + summary.absint_confirmed
-                == len(summary.absint_verdicts))
-        data = summary.as_dict()["absint"]
-        assert data["rounds"] == summary.absint_rounds
-        assert data["refuted"] == summary.absint_refuted
-        assert data["confirmed"] == summary.absint_confirmed
-        keys = set(summary.static_keys)
-        assert data["verdicts"], "seeded race should carry a verdict"
-        for v in data["verdicts"]:
-            assert f"static-race {v['location']}@{v['line']}" in keys
-            assert v["verdict"] in ("interval-refuted",
-                                    "interval-confirmed")
-
-    def test_ablation_keeps_the_static_column(self):
-        """absint=False ablates the *runtime* discharges only; the
-        precision column is a static artifact and is computed either
-        way (the sweep's purpose is measuring it)."""
-        on = self._sweep(absint=True)
-        off = self._sweep(absint=False)
-        assert off.absint_verdicts == on.absint_verdicts
-        assert off.absint_rounds == on.absint_rounds
-
-    def test_column_flows_into_metrics(self):
-        from repro.obs.metrics import (METRICS_SCHEMA, MetricsRegistry,
-                                       validate_metrics)
-
-        summary = self._sweep()
-        registry = MetricsRegistry()
-        registry.record_sweep(summary.sharc)
-        registry.record_sweep(summary.eraser)
-        registry.record_differential(summary)
-        payload = registry.as_dict()
-        assert payload["schema"] == METRICS_SCHEMA == "sharc-metrics/5"
-        assert validate_metrics(payload) == []
-        ai = payload["absint"]
-        assert ai["refuted"] == summary.absint_refuted
-        assert ai["confirmed"] == summary.absint_confirmed
-        assert [v["verdict"] for v in ai["verdicts"]] == \
-            [v["verdict"] for v in summary.absint_verdicts]
-
-
 class TestDisagreementCoords:
     def test_replay_coords_multi_digit_seeds(self):
         from repro.explore.differential import Disagreement

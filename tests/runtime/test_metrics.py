@@ -6,9 +6,7 @@ import pytest
 
 from repro.explore.driver import (ExplorationSummary, ScheduleOutcome,
                                   explore_source)
-from repro.obs import sitestats
 from repro.obs.metrics import (METRICS_SCHEMA, MetricsRegistry,
-                               upgrade_metrics_payload,
                                validate_metrics, write_metrics)
 
 RACY = """
@@ -300,94 +298,6 @@ class TestDisjointPolicyMerge:
         bucket = registry.as_dict()["per_policy"]["random"]
         assert bucket["schedules"] == 2
         assert bucket["failures"] == 2
-
-
-class TestSchemaUpgrades:
-    def _v1_payload(self):
-        """A minimal sharc-metrics/1 payload: no static block, no
-        crash accounting, no sites section."""
-        payload = MetricsRegistry().as_dict()
-        registry = MetricsRegistry()
-        registry.record_sweep(_summary([_outcome(0, "random",
-                                                 reports=1)]))
-        payload = registry.as_dict()
-        payload["schema"] = "sharc-metrics/1"
-        del payload["static"]
-        del payload["totals"]["crashed_schedules"]
-        del payload["sites"]
-        for row in payload["sweeps"]:
-            del row["crashed_schedules"]
-        for bucket in payload["per_policy"].values():
-            del bucket["crashes"]
-        return payload
-
-    def test_v1_upgrades_to_current(self):
-        upgraded = upgrade_metrics_payload(self._v1_payload())
-        assert upgraded["schema"] == METRICS_SCHEMA
-        assert validate_metrics(upgraded) == []
-        assert upgraded["static"] == {"races": 0, "agreement": {}}
-        assert upgraded["totals"]["crashed_schedules"] == 0
-        assert upgraded["sites"] == {"totals": sitestats.totals({}),
-                                     "rows": []}
-        assert all(r["crashed_schedules"] == 0
-                   for r in upgraded["sweeps"])
-        assert all(b["crashes"] == 0
-                   for b in upgraded["per_policy"].values())
-
-    def test_v3_upgrade_only_adds_sites(self):
-        v3 = self._v1_payload()
-        v3 = upgrade_metrics_payload(v3)
-        v3["schema"] = "sharc-metrics/3"
-        del v3["sites"]
-        upgraded = upgrade_metrics_payload(v3)
-        assert upgraded["schema"] == METRICS_SCHEMA
-        assert validate_metrics(upgraded) == []
-        assert upgraded["sites"]["rows"] == []
-
-    def test_v4_upgrade_adds_absint_and_ai_column(self):
-        """/4 predates the abstract interpreter: the shim synthesizes
-        a neutral absint section and backfills ``ai: 0`` into the site
-        totals and every site row — without inventing discharges."""
-        registry = MetricsRegistry()
-        registry.record_sweep(explore_source(RACY, "racy.c", seeds=1,
-                                             policies=("random",)))
-        v4 = registry.as_dict()
-        v4["schema"] = "sharc-metrics/4"
-        del v4["absint"]
-        del v4["sites"]["totals"]["ai"]
-        assert v4["sites"]["rows"], "need site rows to test backfill"
-        for row in v4["sites"]["rows"]:
-            del row["ai"]
-        upgraded = upgrade_metrics_payload(v4)
-        assert upgraded["schema"] == METRICS_SCHEMA
-        assert validate_metrics(upgraded) == []
-        assert upgraded["absint"] == {"refuted": 0, "confirmed": 0,
-                                      "verdicts": []}
-        assert upgraded["sites"]["totals"]["ai"] == 0
-        assert all(row["ai"] == 0
-                   for row in upgraded["sites"]["rows"])
-        # nothing else about the sites section was perturbed
-        assert upgraded["sites"]["totals"]["cost"] == \
-            sum(r["cost"] for r in upgraded["sites"]["rows"])
-
-    def test_current_payload_passes_through(self):
-        registry = MetricsRegistry()
-        registry.record_sweep(_summary([_outcome(0, "random")]))
-        payload = registry.as_dict()
-        upgraded = upgrade_metrics_payload(payload)
-        assert upgraded == payload
-
-    def test_upgrade_does_not_mutate_input(self):
-        v1 = self._v1_payload()
-        before = json.dumps(v1, sort_keys=True)
-        upgrade_metrics_payload(v1)
-        assert json.dumps(v1, sort_keys=True) == before
-
-    def test_unknown_schema_raises(self):
-        payload = MetricsRegistry().as_dict()
-        payload["schema"] = "sharc-metrics/99"
-        with pytest.raises(ValueError, match="sharc-metrics/99"):
-            upgrade_metrics_payload(payload)
 
 
 class TestSitesSection:

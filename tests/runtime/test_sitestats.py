@@ -65,13 +65,13 @@ class TestCounterPlumbing:
         assert site_id(("a.c", 4, "buf[i]", "r")) == "a.c:4 r buf[i]"
 
     def test_encode_decode_roundtrip(self):
-        sites = {("a.c", 1, "x", "w"): [1, 2, 3, 4, 5, 6, 7, 8, 9],
-                 ("a.c", 2, "y", "r"): [9, 8, 7, 6, 5, 4, 3, 2, 1]}
+        sites = {("a.c", 1, "x", "w"): [1, 2, 3, 4, 5, 6, 7, 8],
+                 ("a.c", 2, "y", "r"): [8, 7, 6, 5, 4, 3, 2, 1]}
         assert decode_sites(encode_sites(sites)) == sites
 
     def test_encode_is_deterministic_and_hashable(self):
-        sites = {("b.c", 2, "y", "r"): [1] * 9,
-                 ("a.c", 1, "x", "w"): [2] * 9}
+        sites = {("b.c", 2, "y", "r"): [1] * 8,
+                 ("a.c", 1, "x", "w"): [2] * 8}
         encoded = encode_sites(sites)
         assert encoded == encode_sites(dict(reversed(sites.items())))
         hash(encoded)  # picklable/frozen-dataclass requirement
@@ -79,36 +79,36 @@ class TestCounterPlumbing:
     def test_merge_accepts_dicts_and_encodings(self):
         key = ("a.c", 1, "x", "w")
         acc = {}
-        merge_sites(acc, {key: [1] * 9})
-        merge_sites(acc, encode_sites({key: [2] * 9}))
-        assert acc == {key: [3] * 9}
+        merge_sites(acc, {key: [1] * 8})
+        merge_sites(acc, encode_sites({key: [2] * 8}))
+        assert acc == {key: [3] * 8}
 
     def test_merge_does_not_alias_source_counters(self):
         key = ("a.c", 1, "x", "w")
-        src = {key: [1] * 9}
+        src = {key: [1] * 8}
         acc = merge_sites({}, src)
         acc[key][0] += 10
         assert src[key][0] == 1
 
     def test_rows_sorted_by_cost_then_key(self):
-        sites = {("a.c", 1, "x", "w"): [0] * 8 + [5],
-                 ("a.c", 2, "y", "r"): [0] * 8 + [9],
-                 ("a.c", 3, "z", "r"): [0] * 8 + [5]}
+        sites = {("a.c", 1, "x", "w"): [0] * 7 + [5],
+                 ("a.c", 2, "y", "r"): [0] * 7 + [9],
+                 ("a.c", 3, "z", "r"): [0] * 7 + [5]}
         rows = site_rows(sites)
         assert [r["lvalue"] for r in rows] == ["y", "x", "z"]
         assert site_rows(sites, limit=1)[0]["cost"] == 9
 
     def test_totals_sum_every_field(self):
-        sites = {("a.c", 1, "x", "w"): [1, 2, 3, 4, 5, 6, 7, 8, 9],
-                 ("a.c", 2, "y", "r"): [1, 1, 1, 1, 1, 1, 0, 0, 9]}
+        sites = {("a.c", 1, "x", "w"): [1, 2, 3, 4, 5, 6, 7, 8],
+                 ("a.c", 2, "y", "r"): [1, 1, 1, 1, 1, 0, 0, 9]}
         got = totals(sites)
-        assert got["solo"] == 2 and got["cost"] == 18
-        # "checks" counts discharge kinds only (solo..ai), not
+        assert got["solo"] == 2 and got["cost"] == 17
+        # "checks" counts discharge kinds only (solo..locked), not
         # the miss/conflict/cost bookkeeping fields.
-        assert got["checks"] == (1 + 2 + 3 + 4 + 5 + 6) + 6
+        assert got["checks"] == (1 + 2 + 3 + 4 + 5) + 5
 
     def test_render_annotates_source_lines(self):
-        sites = {("t.c", 2, "x", "w"): [0, 4, 0, 0, 0, 0, 1, 0, 7]}
+        sites = {("t.c", 2, "x", "w"): [0, 4, 0, 0, 0, 1, 0, 7]}
         text = render_hot_sites(sites, source="int a;\nx = 1;\n")
         assert "t.c:2 x" in text
         assert "x = 1;" in text
@@ -128,10 +128,17 @@ class TestReconciliation:
         assert reconcile(result.stats.sites, result.stats) == []
 
     def test_sites_identical_across_backends(self):
-        a = _run(RACY, backend="interp")
-        b = _run(RACY, backend="compiled")
-        assert a.stats.sites == b.stats.sites
-        assert a.stats.steps_total == b.stats.steps_total
+        """Both backends run the same per-site check closure, so every
+        discharge kind lands identically, with each static tier on or
+        off."""
+        from tests.runtime.test_lockset_identity import MIXED
+
+        for source, kwargs in ((RACY, {}), (RACY, {"checkelim": False}),
+                               (MIXED, {}), (MIXED, {"lockset": False})):
+            a = _run(source, backend="interp", **kwargs)
+            b = _run(source, backend="compiled", **kwargs)
+            assert a.stats.sites == b.stats.sites
+            assert a.stats.steps_total == b.stats.steps_total
 
     def test_ablations_shift_kinds_not_totals(self):
         """checkelim off turns elided checks into full walks; the site
