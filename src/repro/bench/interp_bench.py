@@ -95,7 +95,7 @@ def bench_workloads(names: Optional[list[str]] = None, *,
     returns the interp row (the canonical deterministic metrics) with
     the compiled throughput column attached — after asserting the two
     runs agree on steps and reports, which bit-identical backends must.
-    ``None`` defers to ``$SHARC_BACKEND`` (default interp)."""
+    ``None`` defers to ``$SHARC_BACKEND`` (default compiled)."""
     if backend is not None and backend not in _BACKEND_CHOICES:
         raise ValueError(f"unknown backend {backend!r}; "
                          f"available: {', '.join(_BACKEND_CHOICES)}")

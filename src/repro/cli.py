@@ -319,7 +319,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
     if args.replay:
         payload = load_artifact(args.replay)
-        result = replay_artifact(payload)
+        result = replay_artifact(payload, backend=args.backend)
         print(f"replayed {payload['filename']} "
               f"(seed={payload['seed']} policy={payload['policy']} "
               f"[{payload['checker']}]):")
@@ -452,7 +452,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
         result = shrink_failure(source, filename, seed=target.seed,
                                 policy=target.policy, checker=checker,
                                 target_keys=keys,
-                                max_steps=args.max_steps)
+                                max_steps=args.max_steps,
+                                backend=args.backend)
         print(result.render())
         if args.out:
             save_artifact(result, args.out)
@@ -815,7 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None,
                    help="executor: tree-walking interpreter or the "
                         "compiled backend (bit-identical by seed; "
-                        "default $SHARC_BACKEND or interp)")
+                        "default $SHARC_BACKEND or compiled)")
     p.add_argument("--stats", action="store_true")
     p.add_argument("--profile", action="store_true",
                    help="time each pipeline phase, run an uninstrumented "
@@ -920,8 +921,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=200_000)
     p.add_argument("--backend", choices=("interp", "compiled"),
                    default=None,
-                   help="executor for every schedule (outcomes are "
-                        "backend-invariant; compiled sweeps faster)")
+                   help="executor for every schedule, --replay and "
+                        "--shrink (outcomes are backend-invariant; "
+                        "default $SHARC_BACKEND or compiled)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--metrics-out", default=None, metavar="FILE",
                    help="write a schema-validated metrics.json "

@@ -42,9 +42,12 @@ def build_artifact(scenario: Scenario, out_dir: str, *,
         if log is not None:
             log(msg)
 
+    # Find, shrink and record on the tree-walker, the reference the
+    # corpus gate then holds both backends to.
     summary = explore_source(
         scenario.source, scenario.filename, checker="sharc",
-        seeds=seeds, policies=policies, max_steps=max_steps)
+        seeds=seeds, policies=policies, max_steps=max_steps,
+        backend="interp")
     outcome = summary.first_failure
     if outcome is None:
         say(f"  {scenario.filename}: no failing schedule in "
@@ -53,13 +56,14 @@ def build_artifact(scenario: Scenario, out_dir: str, *,
     result = shrink_failure(
         scenario.source, scenario.filename,
         seed=outcome.seed, policy=outcome.policy, checker="sharc",
-        target_keys=outcome.report_keys, max_steps=max_steps)
+        target_keys=outcome.report_keys, max_steps=max_steps,
+        backend="interp")
     os.makedirs(out_dir, exist_ok=True)
     stem = scenario.filename.rsplit(".", 1)[0]
     path = os.path.join(out_dir, f"{stem}.json")
-    # Record the full run-to-completion execution once (interp), so the
-    # artifact pins not just the failure but the exact replay — the
-    # corpus gate then holds both backends to it bit-for-bit, forever.
+    # Record the full run-to-completion execution once, so the artifact
+    # pins not just the failure but the exact replay — the corpus gate
+    # then holds both backends to it bit-for-bit, forever.
     save_artifact(result, path,
                   extra=_artifact_extra(
                       scenario, "regression",

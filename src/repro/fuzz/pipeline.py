@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.explore.differential import backend_divergences
-from repro.explore.driver import explore_source
+from repro.explore.driver import _checked_program, explore_source
 from repro.explore.shrink import (
     load_artifact, replay_artifact, save_artifact, shrink_failure,
 )
@@ -258,7 +258,9 @@ def _artifact_extra(scenario: Scenario, violation_kind: str,
 
 def _shrink_and_save(scenario: Scenario, outcome, config: FuzzConfig,
                      violation_kind: str, detail: str,
-                     backend: Optional[str] = None) -> Optional[str]:
+                     backend: str) -> Optional[str]:
+    """Shrinks ``outcome`` on ``backend``, the one its sweep ran on,
+    and saves the artifact; None when shrinking is off or fails."""
     if not (config.shrink and config.out_dir):
         return None
     try:
@@ -287,9 +289,11 @@ def fuzz_scenario(scenario: Scenario, config: FuzzConfig,
     """Runs one scenario through the full grid and scores the oracle;
     appends any violations to ``report`` and returns the scenario row.
     ``telemetry`` (a :class:`repro.obs.telemetry.TelemetryWriter`)
-    streams heartbeats from all three sweeps."""
-    from repro.sharc.checker import check_source
+    streams heartbeats from all three sweeps.
 
+    The SharC sweep runs on both backends, the tree-walker being the
+    reference the compiled sweep is diffed against; the Eraser sweep
+    follows the default backend."""
     common = dict(seeds=config.seeds, seed_start=config.seed_start,
                   policies=config.policies, jobs=config.jobs,
                   max_steps=config.max_steps,
@@ -299,10 +303,10 @@ def fuzz_scenario(scenario: Scenario, config: FuzzConfig,
                              backend="interp", **common)
     sharc_c = explore_source(src, fname, checker="sharc",
                              backend="compiled", **common)
-    eraser = explore_source(src, fname, checker="eraser",
-                            backend="interp", **common)
+    eraser = explore_source(src, fname, checker="eraser", **common)
+    # the sweeps above already checked the source into the cache
     static_keys = tuple(
-        check_source(src, fname).lockset_result.race_keys)
+        _checked_program(src, fname).lockset_result.race_keys)
 
     oracle = scenario.oracle
     family = scenario.spec.family
@@ -319,7 +323,8 @@ def fuzz_scenario(scenario: Scenario, config: FuzzConfig,
         outcome = by_coords.get((div.seed, div.policy))
         if outcome is not None and outcome.failing:
             artifact = _shrink_and_save(scenario, outcome, config,
-                                        "backend-divergence", detail)
+                                        "backend-divergence", detail,
+                                        backend="interp")
         report.violations.append(OracleViolation(
             kind="backend-divergence", scenario=fname, family=family,
             detail=detail, seed=div.seed, policy=div.policy,
@@ -342,7 +347,8 @@ def fuzz_scenario(scenario: Scenario, config: FuzzConfig,
             if outcome is not None:
                 detail = "unexpected keys: " + ", ".join(unexpected)
                 artifact = _shrink_and_save(scenario, outcome, config,
-                                            "unexpected-race", detail)
+                                            "unexpected-race", detail,
+                                            backend="interp")
                 report.violations.append(OracleViolation(
                     kind="unexpected-race", scenario=fname,
                     family=family, detail=detail, seed=outcome.seed,
@@ -364,12 +370,14 @@ def fuzz_scenario(scenario: Scenario, config: FuzzConfig,
                 len(found) - sum(found.values()))
     else:  # race-free by construction
         if sharc_keys:
-            outcome = (sharc_i.first_failure
-                       or sharc_c.first_failure)
+            outcome, backend = sharc_i.first_failure, "interp"
+            if outcome is None:
+                outcome, backend = sharc_c.first_failure, "compiled"
             detail = "reports on race-free scenario: " + ", ".join(
                 sharc_keys)
             artifact = _shrink_and_save(scenario, outcome, config,
-                                        "false-positive", detail)
+                                        "false-positive", detail,
+                                        backend=backend)
             report.violations.append(OracleViolation(
                 kind="false-positive", scenario=fname, family=family,
                 detail=detail, seed=outcome.seed,

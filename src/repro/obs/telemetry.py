@@ -119,8 +119,10 @@ class TelemetryWriter:
     def begin_sweep(self, filename: str, checker: str,
                     policies, total: int,
                     backend: Optional[str] = None) -> None:
+        from repro.runtime.interp import resolve_backend
+
         self._sweep_label = f"{filename} [{checker}]"
-        self._sweep_backend = backend or "interp"
+        self._sweep_backend = resolve_backend(backend)
         self._sweep_done = 0
         self._sweep_total = total
         self._pending = 0

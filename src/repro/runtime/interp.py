@@ -34,6 +34,7 @@ from typing import Optional
 
 from repro.errors import DiagKind, InterpError, Loc
 from repro.cfront import cast as A
+from repro.cfront.pretty import pretty_expr
 from repro.obs.events import (
     CAT_CHECK, CAT_CONFLICT, CAT_SCAST, CAT_SCHED, TraceBus, TraceConfig,
 )
@@ -51,6 +52,7 @@ from repro.sharc.typecheck import AccessInfo
 from repro.runtime.addrspace import AddressSpace
 from repro.runtime.builtins import IMPLS
 from repro.runtime.dyncheck import dynamic_check
+from repro.runtime.eraser import ACCESS_COST, EraserChecker
 from repro.runtime.locks import LockTable
 from repro.runtime.refcount import make_scheme
 from repro.runtime.scheduler import (
@@ -230,7 +232,6 @@ class Interp:
         #: baseline of Section 6.2: every access monitored)
         self.eraser = None
         if checker == "eraser" and instrument:
-            from repro.runtime.eraser import EraserChecker
             self.eraser = EraserChecker()
             self.instrument = False  # SharC checks off; Eraser on
         elif checker not in ("sharc", "eraser"):
@@ -315,17 +316,19 @@ class Interp:
 
     def _eraser_access(self, node: A.Expr, addr: int, size: int,
                        thread: Thread, is_write: bool) -> None:
-        """Lockset-baseline monitoring: every (non-register) access."""
-        from repro.cfront.pretty import pretty_expr
-        from repro.runtime.eraser import ACCESS_COST
-        held = frozenset(self.locks.held_by(thread.tid))
-        try:
-            lvalue = pretty_expr(node)
-        except TypeError:
-            lvalue = "<expr>"
+        """Lockset-baseline monitoring: every (non-register) access.
+        The l-value text is memoized on the node, like its size."""
+        lvalue = getattr(node, "sharc_lvalue", None)
+        if lvalue is None:
+            try:
+                lvalue = pretty_expr(node)
+            except TypeError:
+                lvalue = "<expr>"
+            node.sharc_lvalue = lvalue  # type: ignore[attr-defined]
         for report in self.eraser.on_access(addr, size, thread.tid,
-                                            is_write, held, lvalue,
-                                            node.loc):
+                                            is_write,
+                                            self.locks.held_by(thread.tid),
+                                            lvalue, node.loc):
             self._report(report)
         self._charge_check(ACCESS_COST)
 
@@ -895,7 +898,6 @@ class Interp:
                               target=f"0x{base:x}", count=count + 1,
                               ok=count == 0)
             if count > 0:
-                from repro.cfront.pretty import pretty_expr
                 self._report(oneref_failed(
                     base, Access(thread.tid, pretty_expr(e.expr), e.loc),
                     count + 1))
@@ -1282,10 +1284,12 @@ BACKENDS = ("interp", "compiled")
 def resolve_backend(backend: Optional[str]) -> str:
     """Resolves a ``backend`` argument: an explicit value wins, ``None``
     falls back to the ``SHARC_BACKEND`` environment variable (which is
-    how CI runs the whole suite under the compiled backend), and the
-    default is the tree-walking interpreter."""
+    how CI runs the whole suite once more under the tree-walker), and
+    the default is the compiled backend.  The tree-walker stays the
+    per-function fallback of a compile and the reference that identity
+    checks pin explicitly."""
     if backend is None:
-        backend = os.environ.get("SHARC_BACKEND") or "interp"
+        backend = os.environ.get("SHARC_BACKEND") or "compiled"
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; "
                          f"expected one of {', '.join(BACKENDS)}")
@@ -1325,7 +1329,7 @@ def run_checked(checked: CheckedProgram, *, seed: int = 0,
     ``"compiled"`` (:mod:`repro.compile`), which runs
     the same program bit-identically — same steps, reports, and
     scheduler RNG — at a multiple of the throughput; ``None`` defers
-    to ``SHARC_BACKEND``."""
+    to ``SHARC_BACKEND``, then to ``"compiled"``."""
     interp = make_interp(checked, backend=backend, seed=seed, world=world,
                          policy=policy, rc_scheme=rc_scheme,
                          instrument=instrument, shadow_bytes=shadow_bytes,

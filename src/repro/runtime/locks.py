@@ -177,8 +177,8 @@ class LockTable:
             return rw.writer == tid or tid in rw.readers
         return self.holds(tid, addr)
 
-    def held_by(self, tid: int) -> set[int]:
-        return set(self.held_log.get(tid, set()))
+    def held_by(self, tid: int) -> frozenset[int]:
+        return frozenset(self.held_log.get(tid, ()))
 
     def thread_exit(self, tid: int) -> set[int]:
         """Returns (and forgets) locks still held — a held lock at thread

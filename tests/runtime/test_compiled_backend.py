@@ -104,18 +104,20 @@ def test_explore_outcomes_are_identical(seed, policy):
 
 
 class TestBackendResolution:
-    def test_default_is_the_tree_walker(self, monkeypatch):
+    def test_default_is_compiled(self, monkeypatch):
         monkeypatch.delenv("SHARC_BACKEND", raising=False)
-        assert resolve_backend(None) == "interp"
+        assert resolve_backend(None) == "compiled"
 
     def test_explicit_argument_wins(self, monkeypatch):
         monkeypatch.setenv("SHARC_BACKEND", "compiled")
         assert resolve_backend("interp") == "interp"
+        monkeypatch.setenv("SHARC_BACKEND", "interp")
+        assert resolve_backend("compiled") == "compiled"
 
     def test_env_var_fills_in_none(self, monkeypatch):
-        # This is how CI runs the whole tier-1 suite compiled.
-        monkeypatch.setenv("SHARC_BACKEND", "compiled")
-        assert resolve_backend(None) == "compiled"
+        # This is how CI runs the whole tier-1 suite on the tree-walker.
+        monkeypatch.setenv("SHARC_BACKEND", "interp")
+        assert resolve_backend(None) == "interp"
 
     def test_unknown_backend_is_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):

@@ -12,6 +12,10 @@ fast paths that moves a single RNG draw or step shows up here.
 The golden pins behaviour, not a measurement: regenerate it (run this
 module as a script) only in a change that means to alter schedules,
 and say so in that change.
+
+The golden covers the SharC checker.  The Eraser baseline is held to
+the same fingerprint, plus its ``EraserStats``, by comparing the two
+backends directly over the same programs and policies.
 """
 
 from __future__ import annotations
@@ -50,10 +54,11 @@ def _digest(obj) -> str:
 
 
 def fingerprint(checked, seed: int, policy: str, backend: str,
-                world_factory=None) -> dict:
+                world_factory=None, checker: str = "sharc") -> dict:
     world = world_factory() if world_factory is not None else None
     interp = make_interp(checked, backend=backend, seed=seed, world=world,
-                         policy=policy, record_trace=True)
+                         policy=policy, record_trace=True,
+                         checker=checker)
     result = interp.run(max_steps=MAX_STEPS)
     stats = dataclasses.asdict(result.stats)
     del stats["wall_seconds"]
@@ -70,6 +75,8 @@ def fingerprint(checked, seed: int, policy: str, backend: str,
         sorted((k, bytes(v)) for k, v in interp.world.outbound.items()),
         interp.sched.rng.getstate(),
     )
+    if interp.eraser is not None:
+        payload += (dataclasses.asdict(interp.eraser.stats),)
     return {"steps": result.stats.steps_total,
             "switches": result.stats.context_switches,
             "fp": _digest(payload)[:24]}
@@ -87,6 +94,9 @@ def program_fingerprints(index: int, name: str, source: str) -> dict:
 
 
 _CENSUS = list(enumerate(_census_programs()))
+census = pytest.mark.parametrize("index,name,source", [
+    pytest.param(i, name, source, id=name)
+    for i, (name, source) in _CENSUS])
 
 
 @pytest.fixture(scope="module")
@@ -94,11 +104,21 @@ def golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("index,name,source", [
-    pytest.param(i, name, source, id=name)
-    for i, (name, source) in _CENSUS])
+@census
 def test_schedules_match_golden(golden, index, name, source):
     assert program_fingerprints(index, name, source) == golden[name]
+
+
+@census
+def test_eraser_backends_agree(index, name, source):
+    checked = check_ok(source)
+    factory = _world_factories().get(name)
+    runs = {backend: {policy: fingerprint(checked, index, policy,
+                                          backend, factory,
+                                          checker="eraser")
+                      for policy in POLICIES}
+            for backend in BACKENDS}
+    assert runs["interp"] == runs["compiled"]
 
 
 def test_golden_covers_the_census(golden):
