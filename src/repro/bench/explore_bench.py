@@ -6,12 +6,18 @@ budget — so this module tracks it the way ``sharc bench`` tracks
 interpreter steps/sec.  It times the same workload/budget two ways and
 writes ``BENCH_explore.json`` (schema ``sharc-bench-explore/1``):
 
-- **flat**: the PR-2 :func:`repro.explore.driver.explore_source` path —
-  per-schedule task tuples carrying the full source, per-outcome
-  ``sites`` payloads through IPC, tree-walking interpreter;
+- **flat**: one :func:`repro.explore.driver.explore_source` sweep of
+  ``budget / len(policies)`` seeds per policy — tree-walking
+  interpreter, site attribution on every schedule, batches of
+  :data:`~repro.explore.driver.FANOUT_BATCH` seeds;
 - **campaign**: the sharded :func:`repro.explore.campaign.run_campaign`
-  engine — source shipped once per worker, per-batch IPC with sampled
-  attribution, per-worker compile cache, compiled backend.
+  engine — compiled backend, attribution sampled 1-in-``sites_every``,
+  leased shards of ``shard_size`` seeds with a durable fold (lease log,
+  shard files, trace corpus).
+
+Both modes fan out through the same batch worker (source shipped once
+per worker, per-batch IPC, per-worker check and compile caches), so
+what the two rates compare is backend, sharding and site sampling.
 
 .. code-block:: json
 
@@ -36,12 +42,8 @@ writes ``BENCH_explore.json`` (schema ``sharc-bench-explore/1``):
     }
 
 ``speedup`` is measured on one host in one run, so runner speed cancels
-out of the ratio — the honest form of "the campaign engine sustains Nx
-the flat path".  On a single-core container the gain is all engine
-(compiled backend + batched IPC + shipped-once sources); multi-core
-hosts add near-linear ``jobs`` scaling on top, since the flat path's
-per-schedule IPC serializes where the campaign's per-batch IPC does
-not.
+out of the ratio; most of it is the compiled backend, the rest is
+sampled attribution minus the campaign's durability cost.
 
 The CI canary (:func:`check_canary`) gates two ways, mirroring
 :mod:`repro.bench.canary`: each mode's schedules/sec must stay above
@@ -98,10 +100,9 @@ def bench_explore(workload: str = DEFAULT_WORKLOAD, *,
                   policies: Sequence[str] = DEFAULT_POLICIES) -> dict:
     """Times flat vs campaign on one workload and returns the payload.
 
-    Both modes run the same ``jobs`` so the comparison isolates the
-    engine (IPC shape, backend, compile caching) from parallelism; the
-    flat mode keeps its PR-2 defaults — interp backend, full per-
-    outcome site payloads — because that is the path being replaced.
+    Both modes run the same ``jobs`` through the same batch worker, so
+    the comparison isolates backend (the flat mode pins the
+    tree-walker), sharding and site sampling from parallelism.
     """
     from repro.bench.workloads import get_workload
     from repro.explore.campaign import (
@@ -117,7 +118,7 @@ def bench_explore(workload: str = DEFAULT_WORKLOAD, *,
     flat = explore_source(
         w.annotated_source, f"{workload}.c", seeds=per_policy,
         policies=policies, jobs=jobs, max_steps=w.max_steps,
-        world_factory=w.world_factory)
+        world_factory=w.world_factory, backend="interp")
     flat_wall = time.perf_counter() - t0
 
     scratch = tempfile.mkdtemp(prefix="sharc-bench-explore-")

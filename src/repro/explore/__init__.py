@@ -8,7 +8,8 @@ deterministic scheduler into a search tool:
 
 - :mod:`repro.explore.driver` — fan a program out over N seeds x M
   scheduling policies (``random``, ``round-robin``, ``serial``, PCT,
-  preemption-bounded), in parallel via ``multiprocessing``, and report
+  preemption-bounded), inline or over worker processes through the
+  campaign's batch worker, and report
   interleaving-space coverage (distinct context-switch traces, races
   found per 1k schedules) plus first-failure replay seeds;
 - :mod:`repro.explore.shrink` — delta-debug a failing schedule's
@@ -21,10 +22,11 @@ deterministic scheduler into a search tool:
   SharC checker and the Eraser lockset baseline and report
   disagreements as replay seeds;
 - :mod:`repro.explore.campaign` (+ :mod:`~repro.explore.corpus`,
-  :mod:`~repro.explore.queue`) — the fleet-scale tier above the flat
-  sweep: resumable sharded campaigns with batched worker IPC, an
-  on-disk deduplicating trace corpus, a crash-safe work queue, and
-  coverage-guided budget allocation.
+  :mod:`~repro.explore.queue`) — the batch worker every sweep fans out
+  through (source shipped once per worker, per-batch IPC), and on top
+  of it resumable sharded campaigns: an on-disk deduplicating trace
+  corpus, a crash-safe work queue, and coverage-guided budget
+  allocation.
 
 CLI: ``sharc explore`` / ``sharc campaign`` (see ``--help``).
 """

@@ -1,22 +1,21 @@
 """The fleet-scale campaign engine: resumable sharded sweeps.
 
-The flat :func:`repro.explore.driver.explore_source` sweep is the right
-tool for one program and a few thousand schedules; a *campaign* runs
-many workloads under a large schedule budget, and at that scale three
-things start to matter that the flat loop does not provide:
+:func:`repro.explore.driver.explore_source` sweeps one program's
+``seeds x policies`` grid in memory; a *campaign* runs many workloads
+under a large schedule budget, and at that scale it adds durability and
+coverage-guided budget on top of the same batch worker:
 
-**Worker efficiency.**  The flat loop pickles the full program source
-into every task tuple and ships a per-outcome ``sites`` payload back
-for every schedule.  Campaign workers instead receive every target's
-source and the sweep settings exactly once, through the pool
-initializer; a task shrinks to ``(label, policy, seed_start, count)``
-and one worker runs the whole batch, merging sampled site attribution
-and compacting outcomes worker-side so IPC cost is per-batch, not
-per-schedule.  Each worker checks and compiles a target once
-(per-process check cache + a compile cache keyed by
-``(source hash, backend)``), and the campaign defaults to the compiled
-backend — bit-identical to the tree-walker by seed, several times
-faster per schedule.
+**Worker efficiency.**  The batch worker — :func:`_start_workers`,
+:func:`_run_shard_batch` and the pool-or-inline :func:`_run_batches`,
+which ``explore_source`` drives too — receives every target's source
+and the sweep settings exactly once, through the pool initializer; a
+task is ``(label, policy, seed_start, count)`` and one worker runs the
+whole batch, merging sampled site attribution and compacting outcomes
+worker-side so IPC cost is per-batch, not per-schedule.  Each worker
+checks and compiles a target once (per-process check cache + a compile
+cache keyed by ``(source hash, backend)``), and the campaign defaults
+to the compiled backend — bit-identical to the tree-walker by seed,
+several times faster per schedule.
 
 **Durability.**  Work is carved into *shards* — contiguous seed ranges
 of one ``(target, policy)`` cell — leased through the append-only
@@ -179,7 +178,9 @@ class CampaignConfig:
 
 # -- worker side --------------------------------------------------------------
 #
-# The pool initializer ships every target's source and the sweep
+# This is the one sweep worker: run_campaign and explore_source both
+# start it through _start_workers.  The pool initializer (or, at
+# jobs=1, a direct call) ships every target's source and the sweep
 # settings ONCE per worker process; batch tasks then carry only
 # (label, policy, seed_start, count).  Workers check + compile each
 # target lazily on first use; the check is cached per process by source
@@ -229,7 +230,9 @@ def _run_shard_batch(task: tuple) -> tuple:
                 settings["max_burst"], target["world_factory"],
                 settings["shadow_bytes"],
                 backend=settings["backend"], collect_sites=collect)
-        except Exception as exc:  # noqa: BLE001 - campaign survival
+        except Exception as exc:  # noqa: BLE001 - sweep survival
+            # A crashing schedule (interpreter bug, bad world) becomes
+            # an error row; its empty trace keeps it out of coverage.
             rows.append({"seed": seed,
                          "error": f"{type(exc).__name__}: {exc}"})
             continue
@@ -267,6 +270,46 @@ def _row_outcome(row: dict, policy: str, checker: str,
         timeout=bool(row.get("timeout", False)),
         check_updates=int(row.get("cu", 0)),
         check_fastpath=int(row.get("cf", 0)))
+
+
+def _cell_batches(label: str, policy: str, seed_start: int, seeds: int,
+                  per: int) -> list[tuple]:
+    """Carves ``seeds`` contiguous seeds of one (target, policy) cell
+    into batch tasks of at most ``per`` seeds each, in seed order."""
+    end = seed_start + seeds
+    return [(label, policy, start, min(per, end - start))
+            for start in range(seed_start, end, per)]
+
+
+def _start_workers(targets: Sequence[CampaignTarget], jobs: int, *,
+                   checker: str, max_burst: int, shadow_bytes: int,
+                   backend: Optional[str], sites_every: int):
+    """Initialises the batch worker with every target's source and the
+    sweep settings: a pool of ``jobs`` processes when ``jobs > 1``
+    (returned; the caller terminates it), else this process (returns
+    ``None``)."""
+    targets_blob = {
+        t.label: {"source": t.source, "filename": t.filename,
+                  "max_steps": t.max_steps,
+                  "world_factory": t.world_factory}
+        for t in targets}
+    settings = {"checker": checker, "max_burst": max_burst,
+                "shadow_bytes": shadow_bytes, "backend": backend,
+                "sites_every": sites_every}
+    if jobs > 1:
+        return multiprocessing.Pool(
+            jobs, initializer=_campaign_worker_init,
+            initargs=(targets_blob, settings))
+    _campaign_worker_init(targets_blob, settings)
+    return None
+
+
+def _run_batches(batches: Sequence[tuple], pool):
+    """Runs batch tasks through ``pool`` (inline when it is ``None``)
+    and yields their results lazily, in task order."""
+    if pool is None:
+        return map(_run_shard_batch, batches)
+    return pool.imap(_run_shard_batch, batches)
 
 
 # -- cells and coverage-guided picking ----------------------------------------
@@ -343,8 +386,8 @@ class CampaignSummary:
     failures: list = field(default_factory=list)
     crashes: list = field(default_factory=list)
     #: report key -> (label, outcome), "first" by the deterministic
-    #: campaign coordinates (label, policy rank, seed) — arrival-order
-    #: independent, like the flat sweep's
+    #: campaign coordinates (label, policy rank, seed) — independent of
+    #: which cell the coverage-guided pick ran first
     first_failures: dict = field(default_factory=dict)
     per_cell: dict = field(default_factory=dict)
     site_totals: dict = field(default_factory=dict)
@@ -554,41 +597,21 @@ def _targets_from_manifest(directory: str, manifest: dict,
 # -- the engine ---------------------------------------------------------------
 
 
-def _shard_batches(shard: dict, jobs: int) -> list[tuple]:
-    """Splits a shard's seed range into at most ``jobs`` contiguous
-    batch tasks.  Row content is batch-boundary-independent and site
-    merging is commutative, so the folded shard payload is identical
-    for every ``jobs`` value — only wall-clock changes."""
-    seeds = shard["seeds"]
-    per = max(1, -(-seeds // max(1, jobs)))
-    batches = []
-    start = shard["seed_start"]
-    remaining = seeds
-    while remaining > 0:
-        count = min(per, remaining)
-        batches.append((shard["label"], shard["policy"], start, count))
-        start += count
-        remaining -= count
-    return batches
-
-
 def _run_shard(shard: dict, pool, jobs: int) -> dict:
-    """Executes one shard (via the pool when ``jobs > 1``) and folds
-    its batches into the canonical shard payload: rows in seed order,
-    batch site merges folded in seed_start order."""
+    """Executes one shard as at most ``jobs`` contiguous batches and
+    folds them into the canonical shard payload: rows in seed order,
+    batch site merges folded in seed_start order.  Row content is
+    batch-boundary-independent and site merging is commutative, so the
+    payload is identical for every ``jobs`` value — only wall-clock
+    changes."""
     from repro.obs.sitestats import encode_sites, merge_sites
 
-    batches = _shard_batches(shard, jobs)
-    if pool is not None and len(batches) > 1:
-        results = list(pool.imap_unordered(_run_shard_batch, batches))
-    elif pool is not None:
-        results = [pool.apply(_run_shard_batch, (batches[0],))]
-    else:
-        results = [_run_shard_batch(batch) for batch in batches]
-    results.sort(key=lambda r: r[0])
+    per = max(1, -(-shard["seeds"] // max(1, jobs)))
+    batches = _cell_batches(shard["label"], shard["policy"],
+                            shard["seed_start"], shard["seeds"], per)
     rows: list = []
     sites: dict = {}
-    for _, batch_rows, batch_sites in results:
+    for _, batch_rows, batch_sites in _run_batches(batches, pool):
         rows.extend(batch_rows)
         if batch_sites:
             merge_sites(sites, batch_sites)
@@ -674,7 +697,6 @@ def run_campaign(targets: Optional[Sequence[CampaignTarget]],
         _write_manifest(directory, targets, config, resolved)
 
     labels = tuple(t.label for t in targets)
-    by_label = {t.label: t for t in targets}
     all_policies = tuple(dict.fromkeys(
         p for label in labels for p in resolved[label]))
     summary = CampaignSummary(
@@ -715,32 +737,11 @@ def run_campaign(targets: Optional[Sequence[CampaignTarget]],
     pool = None
     shards_run = 0
     try:
-        if config.jobs > 1:
-            targets_blob = {
-                label: {"source": t.source, "filename": t.filename,
-                        "max_steps": t.max_steps,
-                        "world_factory": t.world_factory}
-                for label, t in by_label.items()}
-            settings = {"checker": config.checker,
-                        "max_burst": config.max_burst,
-                        "shadow_bytes": config.shadow_bytes,
-                        "backend": config.backend,
-                        "sites_every": config.sites_every}
-            pool = multiprocessing.Pool(
-                config.jobs, initializer=_campaign_worker_init,
-                initargs=(targets_blob, settings))
-        else:
-            _campaign_worker_init(
-                {label: {"source": t.source, "filename": t.filename,
-                         "max_steps": t.max_steps,
-                         "world_factory": t.world_factory}
-                 for label, t in by_label.items()},
-                {"checker": config.checker,
-                 "max_burst": config.max_burst,
-                 "shadow_bytes": config.shadow_bytes,
-                 "backend": config.backend,
-                 "sites_every": config.sites_every})
-
+        pool = _start_workers(
+            targets, config.jobs, checker=config.checker,
+            max_burst=config.max_burst,
+            shadow_bytes=config.shadow_bytes, backend=config.backend,
+            sites_every=config.sites_every)
         with summary.profiler.phase("sweep"):
             while scheduled < config.budget:
                 if stop_after is not None and shards_run >= stop_after:

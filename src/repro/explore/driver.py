@@ -2,7 +2,8 @@
 
 One dynamic run samples exactly one interleaving; this driver sweeps a
 program across ``seeds x policies`` schedules — optionally fanned out
-over worker processes — and aggregates:
+over worker processes through the campaign engine's batch worker — and
+aggregates, in the deterministic sweep order (policy rank, then seed):
 
 - **failures**: every schedule that produced at least one report, with
   its (seed, policy) replay coordinates;
@@ -23,7 +24,6 @@ from :class:`repro.runtime.stats.RunStats` as everywhere else.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -62,9 +62,11 @@ class ScheduleOutcome:
     #: check hit rate)
     check_updates: int = 0
     check_fastpath: int = 0
-    #: per-check-site attribution, encoded via
-    #: :func:`repro.obs.sitestats.encode_sites` (hashable, picklable —
-    #: this dataclass crosses the multiprocessing fan-out frozen)
+    #: per-check-site attribution of this one schedule, encoded via
+    #: :func:`repro.obs.sitestats.encode_sites`; set by
+    #: :func:`run_schedule` and merged per batch by the sweep worker,
+    #: so outcomes folded into a summary carry ``()`` and the merged
+    #: counters live in :attr:`ExplorationSummary.site_totals`
     sites: tuple = ()
 
     @property
@@ -94,9 +96,8 @@ class ExplorationSummary:
     #: holds every outcome collected before the interrupt
     interrupted: bool = False
     #: report key -> the first schedule that produced it, "first" by
-    #: the deterministic sweep coordinates ``(policy rank, seed)`` —
-    #: NOT by arrival order, so unordered fan-out (``imap_unordered``)
-    #: aggregates to the same summary as a serial sweep
+    #: the deterministic sweep coordinates ``(policy rank, seed)``
+    #: whatever order outcomes are added in
     first_failures: dict[str, ScheduleOutcome] = field(
         default_factory=dict)
     trace_hashes: set[str] = field(default_factory=set)
@@ -118,13 +119,9 @@ class ExplorationSummary:
         return (rank, outcome.policy, outcome.seed)
 
     def add(self, outcome: ScheduleOutcome) -> None:
-        from repro.obs.sitestats import merge_sites
-
         self.schedules += 1
         self.steps_total += outcome.steps
         self.outcomes.append(outcome)
-        if outcome.sites:
-            merge_sites(self.site_totals, outcome.sites)
         bucket = self.per_policy.setdefault(
             outcome.policy,
             {"schedules": 0, "failures": 0, "crashes": 0,
@@ -231,7 +228,7 @@ class ExplorationSummary:
 # -- one schedule -------------------------------------------------------------
 #
 # Worker processes re-check the source; a per-process cache keyed by
-# (source hash, filename) amortizes that across the seeds each worker
+# (source hash, filename) amortizes that across the batches each worker
 # handles.
 
 _CHECK_CACHE: dict = {}
@@ -288,10 +285,8 @@ def run_schedule(source: str, filename: str, seed: int, policy: str,
     guarantee (bit-identical steps, reports, and traces by seed).
 
     ``collect_sites=False`` skips encoding the per-check-site
-    attribution into the outcome — the dominant share of its pickled
-    size — so campaign workers can sample attribution 1-in-N instead of
-    shipping the full ``sites`` payload through IPC for every single
-    schedule.  Every other field is unaffected."""
+    attribution into the outcome, so campaign workers can sample it
+    1-in-N.  Every other field is unaffected."""
     from repro.obs.sitestats import encode_sites
     from repro.runtime.interp import run_checked
 
@@ -319,27 +314,6 @@ def run_schedule(source: str, filename: str, seed: int, policy: str,
         sites=(encode_sites(result.stats.sites) if collect_sites
                else ()),
     )
-
-
-def _run_task(task) -> ScheduleOutcome:
-    (source, filename, seed, policy, checker, max_steps, max_burst,
-     world_factory, shadow_bytes, backend, collect_sites) = task
-    try:
-        return run_schedule(source, filename, seed, policy, checker,
-                            max_steps, max_burst, world_factory,
-                            shadow_bytes, backend=backend,
-                            collect_sites=collect_sites)
-    except Exception as exc:  # noqa: BLE001 - sweep survival
-        # A crashing schedule (interpreter bug, bad world, recursion
-        # blow-up) must not abort the whole sweep: pool.imap re-raises
-        # worker exceptions in the parent, which used to discard every
-        # other schedule's result.  Tag it instead; the empty
-        # trace_hash keeps it out of the coverage metrics.
-        return ScheduleOutcome(
-            seed=seed, policy=policy, checker=checker,
-            report_keys=(), reports=0, steps=0, switches=0,
-            trace_hash="",
-            error=f"{type(exc).__name__}: {exc}")
 
 
 # -- the sweep -------------------------------------------------------------
@@ -396,6 +370,12 @@ def _resolve_policies(policies: Sequence[str], source: str,
     return tuple(resolved)
 
 
+#: seeds per batch task when a sweep fans out over processes: enough to
+#: amortize the per-batch IPC, few enough that results, progress and
+#: telemetry heartbeats still stream (one heartbeat per batch)
+FANOUT_BATCH = 8
+
+
 def explore_source(source: str, filename: str = "<input>", *,
                    seeds: int = 50, seed_start: int = 0,
                    policies: Sequence[str] = DEFAULT_POLICIES,
@@ -405,18 +385,23 @@ def explore_source(source: str, filename: str = "<input>", *,
                    world_factory: Optional[Callable] = None,
                    shadow_bytes: int = DEFAULT_SHADOW_BYTES,
                    backend: Optional[str] = None,
-                   collect_sites: bool = True,
                    telemetry=None,
                    progress: Optional[Callable] = None,
                    ) -> ExplorationSummary:
     """Sweeps ``seeds x policies`` schedules of one program.
 
-    ``jobs > 1`` distributes schedules over a process pool;
-    ``world_factory`` (a picklable zero-argument callable) rebuilds the
-    simulated I/O world per run so runs stay independent.  A schedule
-    whose run crashes is recorded as an error-tagged outcome instead of
-    aborting the sweep, and Ctrl-C returns the partial summary
-    (``interrupted=True``) instead of discarding collected outcomes.
+    The grid runs through the campaign engine's batch worker
+    (:mod:`repro.explore.campaign`), one cell per policy: inline with
+    one seed per batch at ``jobs=1``, else over a pool of ``jobs``
+    processes that receive the source once, in batches of
+    :data:`FANOUT_BATCH` seeds.  Either way outcomes fold in the
+    deterministic sweep order — policy rank, then seed — so every
+    ``jobs`` value yields the same summary.  ``world_factory`` (a
+    picklable zero-argument callable) rebuilds the simulated I/O world
+    per run so runs stay independent.  A schedule whose run crashes is
+    recorded as an error-tagged outcome instead of aborting the sweep,
+    and Ctrl-C returns the partial summary (``interrupted=True``)
+    instead of discarding collected outcomes.
 
     ``telemetry`` (a :class:`repro.obs.telemetry.TelemetryWriter`)
     streams heartbeat records per result batch; ``progress`` is called
@@ -424,6 +409,10 @@ def explore_source(source: str, filename: str = "<input>", *,
     observe the sweep without perturbing it — outcomes are computed
     before either hook runs.
     """
+    # campaign imports this module, so its worker is imported lazily
+    from repro.explore import campaign
+    from repro.obs.sitestats import merge_sites
+
     summary = ExplorationSummary(filename=filename, checker=checker,
                                  policies=tuple(policies))
     with summary.profiler.phase("check"):
@@ -433,39 +422,43 @@ def explore_source(source: str, filename: str = "<input>", *,
                                      checker, max_steps, max_burst,
                                      world_factory, shadow_bytes)
     summary.policies = policies
-    tasks = [(source, filename, seed, policy, checker, max_steps,
-              max_burst, world_factory, shadow_bytes, backend,
-              collect_sites)
-             for policy in policies
-             for seed in range(seed_start, seed_start + seeds)]
+    total = seeds * len(policies)
+    per = FANOUT_BATCH if jobs > 1 else 1
+    batches = [batch for policy in policies
+               for batch in campaign._cell_batches(
+                   filename, policy, seed_start, seeds, per)]
     if telemetry is not None:
-        telemetry.begin_sweep(filename, checker, policies, len(tasks),
+        telemetry.begin_sweep(filename, checker, policies, total,
                               backend=backend)
 
-    def took(outcome: ScheduleOutcome) -> None:
-        summary.add(outcome)
-        if telemetry is not None:
-            telemetry.record_outcome(outcome)
-        if progress is not None:
-            progress(summary.schedules, len(tasks), summary)
-
+    pool = None
     with summary.profiler.phase("sweep"):
         try:
-            if jobs > 1:
-                # Unordered: a slow schedule no longer head-of-line
-                # blocks finished ones.  Aggregation is order-invariant
-                # (first_failures key on sweep coordinates, coverage
-                # fields are sets/sums), so the summary is identical to
-                # the ordered walk — property-tested in test_explore.
-                with multiprocessing.Pool(jobs) as pool:
-                    for outcome in pool.imap_unordered(_run_task, tasks,
-                                                       chunksize=8):
-                        took(outcome)
-            else:
-                for task in tasks:
-                    took(_run_task(task))
+            pool = campaign._start_workers(
+                [campaign.CampaignTarget(
+                    label=filename, source=source, filename=filename,
+                    max_steps=max_steps, world_factory=world_factory)],
+                jobs, checker=checker, max_burst=max_burst,
+                shadow_bytes=shadow_bytes, backend=backend,
+                sites_every=1)
+            results = campaign._run_batches(batches, pool)
+            for (_, policy, _, _), (_, rows, sites) in zip(batches,
+                                                           results):
+                if sites:
+                    merge_sites(summary.site_totals, sites)
+                for row in rows:
+                    outcome = campaign._row_outcome(row, policy, checker)
+                    summary.add(outcome)
+                    if telemetry is not None:
+                        telemetry.record_outcome(outcome)
+                    if progress is not None:
+                        progress(summary.schedules, total, summary)
         except KeyboardInterrupt:
             summary.interrupted = True
+        finally:
+            if pool is not None:
+                pool.terminate()
+                pool.join()
     if telemetry is not None:
         telemetry.end_sweep(summary)
     summary.profiler.count("schedules", summary.schedules)

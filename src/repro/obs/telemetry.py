@@ -45,8 +45,8 @@ TELEMETRY_SCHEMA = "sharc-telemetry/1"
 RECORD_KINDS = ("start", "sweep-start", "progress", "violation",
                 "sweep-end", "scenario", "final")
 
-#: default outcomes-per-progress-record — matches the explore pool's
-#: imap chunksize, so one heartbeat lands per result batch
+#: default outcomes-per-progress-record — matches the explore fan-out's
+#: batch size (``FANOUT_BATCH``), so one heartbeat lands per result batch
 DEFAULT_FLUSH_EVERY = 8
 
 

@@ -166,18 +166,18 @@ class TestInterruptFlush:
         """Ctrl-C mid-sweep: the already-collected outcomes must still
         reach metrics.json, and the telemetry stream must close with
         ``final`` carrying ``interrupted: true``."""
-        import repro.explore.driver as driver
+        import repro.explore.campaign as campaign
 
-        real = driver._run_task
+        real = campaign.run_schedule
         calls = {"n": 0}
 
-        def flaky(task):
+        def flaky(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] > 3:
                 raise KeyboardInterrupt
-            return real(task)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(driver, "_run_task", flaky)
+        monkeypatch.setattr(campaign, "run_schedule", flaky)
         camp = tmp_path / "camp"
         code = main(["explore", racy_file, "--seeds", "8", "--quiet", "--telemetry-out", str(camp),
                      "--metrics-out", str(camp / "metrics.json")])
@@ -196,18 +196,18 @@ class TestInterruptFlush:
 
     def test_status_reports_interrupted_state(
             self, racy_file, tmp_path, monkeypatch, capsys):
-        import repro.explore.driver as driver
+        import repro.explore.campaign as campaign
 
-        real = driver._run_task
+        real = campaign.run_schedule
         calls = {"n": 0}
 
-        def flaky(task):
+        def flaky(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] > 2:
                 raise KeyboardInterrupt
-            return real(task)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(driver, "_run_task", flaky)
+        monkeypatch.setattr(campaign, "run_schedule", flaky)
         camp = tmp_path / "camp"
         main(["explore", racy_file, "--seeds", "8", "--quiet", "--telemetry-out", str(camp)])
         capsys.readouterr()

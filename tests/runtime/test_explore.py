@@ -112,14 +112,38 @@ class TestDriver:
         assert set(data["per_policy"]) == {"random", "serial"}
 
     def test_jobs_parallel_matches_inline(self):
+        """The fan-out folds in sweep order (policy rank, then seed),
+        so a pooled sweep equals the inline one exactly — including
+        ``first_failure``, which ``--shrink`` and the fuzz oracle
+        minimise."""
         source, _ = racy_c_program(5)
-        kwargs = dict(seeds=6, policies=("random", "pb"),
+        kwargs = dict(seeds=100, policies=("random", "pb"),
                       max_steps=200_000)
         inline = explore_source(source, "racy5.c", jobs=1, **kwargs)
         fanned = explore_source(source, "racy5.c", jobs=2, **kwargs)
-        key = lambda o: (o.policy, o.seed)
-        assert sorted(inline.outcomes, key=key) == \
-            sorted(fanned.outcomes, key=key)
+        assert inline.outcomes == fanned.outcomes
+        assert [(o.policy, o.seed) for o in inline.outcomes] == [
+            (p, s) for p in inline.policies for s in range(100)]
+        assert inline.failures == fanned.failures
+        assert inline.first_failure == fanned.first_failure
+        assert inline.site_totals == fanned.site_totals
+        assert inline.site_totals
+        as_dict = lambda summary: {
+            k: v for k, v in summary.as_dict().items() if k != "profile"}
+        assert as_dict(inline) == as_dict(fanned)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_progress_fires_per_schedule(self, jobs):
+        source, _ = racy_c_program(3)
+        calls = []
+        summary = explore_source(
+            source, "racy3.c", seeds=10, policies=("random", "pb"),
+            jobs=jobs,
+            progress=lambda done, total, _: calls.append((done, total)))
+        assert len(calls) == summary.schedules == 20
+        done = [d for d, _ in calls]
+        assert all(a < b for a, b in zip(done, done[1:]))
+        assert {t for _, t in calls} == {20}
 
     def test_pct_horizon_resolved_to_program_length(self):
         summary = explore_source(RACY_COUNTER, seeds=2,
@@ -487,8 +511,9 @@ class TestSweepCrashTolerance:
 
 
 class TestArrivalOrderInvariance:
-    """Satellite: imap_unordered fan-out may deliver outcomes in any
-    order; the folded summary must not depend on it."""
+    """``ExplorationSummary.add`` keys first failures on sweep
+    coordinates, so the folded summary does not depend on the order
+    outcomes are added in."""
 
     def _outcomes(self, policies=("round-robin", "random"), seeds=6):
         outcomes = []
@@ -525,8 +550,8 @@ class TestArrivalOrderInvariance:
 
 class TestOutcomePayloadSize:
     """Satellite: collect_sites=False drops per-outcome site maps so
-    flat-sweep IPC ships small tuples — guarded by a pickle-size
-    regression bound."""
+    campaign workers can sample attribution 1-in-N — guarded by a
+    pickle-size regression bound."""
 
     def test_collect_sites_false_empties_sites(self):
         lean = run_schedule(RACY_COUNTER, "racy.c", 0, "round-robin",

@@ -180,26 +180,26 @@ class TestReconciliation:
 
 class TestSweepAggregation:
     def test_explore_merges_sites_across_schedules(self):
-        from repro.explore.driver import explore_source
+        from repro.explore.driver import explore_source, run_schedule
 
         summary = explore_source(RACY, "racy.c", seeds=3,
                                  policies=("random", "round-robin"))
         assert summary.site_totals
-        per_outcome = {}
+        per_schedule = {}
         for outcome in summary.outcomes:
-            merge_sites(per_outcome, outcome.sites)
-        assert per_outcome == summary.site_totals
-        # every outcome carries the hashable encoding
-        assert all(isinstance(o.sites, tuple)
-                   for o in summary.outcomes)
+            merge_sites(per_schedule, run_schedule(
+                RACY, "racy.c", outcome.seed, outcome.policy).sites)
+        assert per_schedule == summary.site_totals
 
     def test_outcome_sites_pickle_across_pool(self):
         import pickle
 
-        from repro.explore.driver import explore_source
+        from repro.explore.driver import explore_source, run_schedule
 
-        summary = explore_source(RACY, "racy.c", seeds=2,
-                                 policies=("random",))
-        outcome = summary.outcomes[0]
+        kwargs = dict(seeds=2, policies=("random",))
+        fanned = explore_source(RACY, "racy.c", jobs=2, **kwargs)
+        inline = explore_source(RACY, "racy.c", jobs=1, **kwargs)
+        assert fanned.site_totals == inline.site_totals
+        outcome = run_schedule(RACY, "racy.c", 0, "random")
         assert pickle.loads(pickle.dumps(outcome)) == outcome
         assert outcome.sites[0][1][I_COST] >= 0
