@@ -47,6 +47,9 @@ class CompiledFunction:
     #: tree-walker delegation)?  If not, the prologue can skip
     #: populating the dict entirely.
     needs_env: bool
+    #: slab offsets the body keeps in generator locals instead of
+    #: cells (empty when a pointer into the slab could exist)
+    register_slots: tuple = ()
     #: the compile tier that produced the body (reported per layer)
     tier: str = "codegen"
 

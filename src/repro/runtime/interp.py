@@ -120,6 +120,10 @@ class ProgramExit(Exception):
         self.code = code
 
 
+#: what ends a thread's generator, handled by ``Interp._thread_stopped``
+_THREAD_STOPS = (StopIteration, ProgramExit, TooManyThreads, InterpError)
+
+
 class _Break(Exception):
     pass
 
@@ -1153,10 +1157,20 @@ class Interp:
         return result
 
     def _run_loop(self, result: RunResult, max_steps: int) -> None:
+        """Runs picked bursts until every thread is done, the run halts
+        or ``max_steps`` is spent.  Per item it only advances the
+        generator and sums the cost; ``thread.steps`` takes the burst's
+        sum once, before anything that reads it (``finish`` / ``fail``
+        publish it on the bus)."""
+        sched = self.sched
+        pick = sched.pick
+        note_ran = sched.note_ran
+        stats = self.stats
+        bus = self.bus
         steps = 0
         while steps < max_steps and not self._halted:
             try:
-                thread, burst = self.sched.pick()
+                thread, burst = pick()
             except DeadlockError as dead:
                 result.deadlock = str(dead)
                 return
@@ -1166,47 +1180,28 @@ class Interp:
             # of the context-switch trace (terminal items count: they
             # advance the generator too).
             ran = 0
+            used = 0
             stop_run = False
-            bus = self.bus
-            stats = self.stats
-            gen = thread.gen
+            advance = thread.gen.__next__
             burst_start = stats.steps_total
             for _ in range(burst):
                 try:
-                    item = next(gen)
+                    item = advance()
+                except _THREAD_STOPS as stop:
                     ran += 1
-                except StopIteration as stop:
-                    ran += 1
-                    self.sched.finish(thread, stop.value)
-                    self._thread_exited(thread)
+                    thread.steps += used
+                    steps += used
+                    used = 0
+                    stop_run = self._thread_stopped(thread, stop, result)
                     break
-                except ProgramExit as pe:
-                    ran += 1
-                    self._exit_code = pe.code
-                    self._halted = True
-                    self.sched.finish(thread, pe.code)
-                    self._thread_exited(thread)
-                    stop_run = True
-                    break
-                except TooManyThreads as tmt:
-                    ran += 1
-                    result.error = str(tmt)
-                    self.sched.fail(thread, tmt)
-                    stop_run = True
-                    break
-                except InterpError as ie:
-                    ran += 1
-                    result.error = str(ie)
-                    self.sched.fail(thread, ie)
-                    self._thread_exited(thread)
-                    break
+                ran += 1
                 if type(item) is int:
                     # _flush() yields already-charged evaluation cost —
                     # by far the common case, so it is tested first.
                     cost = item
                 elif isinstance(item, tuple) and item:
                     if item[0] == "block":
-                        self.sched.block(thread, item[1], item[2])
+                        sched.block(thread, item[1], item[2])
                         steps += 1
                         break
                     if item[0] == "io":
@@ -1219,19 +1214,40 @@ class Interp:
                         cost = 0
                 else:
                     cost = item if isinstance(item, int) else 0
-                if cost < 1:
-                    cost = 1
-                steps += cost
-                thread.steps += cost
+                used += cost if cost > 0 else 1
+            if used:
+                steps += used
+                thread.steps += used
             if bus is not None and ran:
                 # One slice per scheduler burst: start = step counter
                 # when the burst began, duration = steps it consumed.
                 bus.emit(CAT_SCHED, "run", thread.tid, ts=burst_start,
                          dur=stats.steps_total - burst_start,
                          items=ran)
-            self.sched.note_ran(thread, ran)
+            note_ran(thread, ran)
             if stop_run:
                 return
+
+    def _thread_stopped(self, thread: Thread, stop: BaseException,
+                        result: RunResult) -> bool:
+        """Retires a thread whose generator ended or raised; True when
+        the whole run stops with it."""
+        if isinstance(stop, StopIteration):
+            self.sched.finish(thread, stop.value)
+            self._thread_exited(thread)
+            return False
+        if isinstance(stop, ProgramExit):
+            self._exit_code = stop.code
+            self._halted = True
+            self.sched.finish(thread, stop.code)
+            self._thread_exited(thread)
+            return True
+        result.error = str(stop)
+        self.sched.fail(thread, stop)
+        if isinstance(stop, TooManyThreads):
+            return True
+        self._thread_exited(thread)
+        return False
 
     def _finalize(self, result: RunResult) -> None:
         result.reports = list(self.reports)

@@ -172,7 +172,13 @@ class CheckWalker(TypeWalker):
         """A private scalar local whose address is never taken lives in a
         register in compiled C; its accesses are not memory accesses.
         The interpreter uses this mark to keep the accesses-census (and
-        the %%dynamic column) comparable to the paper's."""
+        the %%dynamic column) comparable to the paper's: such an access
+        gets no check, no Eraser event and no scheduling point.  Its
+        value still lives in the frame slab's cell, and each access
+        still counts the slot's page.  The compiled backend goes one
+        step further per function, not per access: where no pointer
+        into the slab can exist, it keeps every slot that is not
+        rc-tracked in a Python local (``repro.compile.codegen``)."""
         return (lv.kind == "var" and lv.is_local
                 and lv.name not in self._addr_taken
                 and not lv.qt.is_struct and not lv.qt.is_array

@@ -216,11 +216,71 @@ def _census_programs() -> list[tuple[str, str]]:
     return programs
 
 
-@pytest.mark.parametrize("source", [
-    pytest.param(source, id=name) for name, source in _census_programs()])
-def test_codegen_census(source):
+#: "program/function" -> why the function keeps its slab slots in
+#: cells: a pointer into its slab can exist (an address-taken local, an
+#: array or struct local), or it hands nodes to the tree-walker, which
+#: reads locals through ``frame.env``.  Every other shipped function
+#: holds all its non-rc-tracked slots in generator locals.
+CELL_SLOT_FUNCTIONS = {
+    "aget-annotated/getter": "array or struct local",
+    "aget-unannotated/getter": "array or struct local",
+    "pbzip2-annotated/main": "array or struct local",
+    "pbzip2-unannotated/main": "array or struct local",
+    "dillo-annotated/dns_worker": "array or struct local",
+    "dillo-annotated/main": "array or struct local",
+    "dillo-unannotated/dns_worker": "array or struct local",
+    "dillo-unannotated/main": "array or struct local",
+    "stunnel-annotated/handler": "array or struct local",
+    "stunnel-annotated/main": "array or struct local",
+    "stunnel-unannotated/handler": "array or struct local",
+    "stunnel-unannotated/main": "array or struct local",
+    "examples/pipeline_annotated.c/thrFunc": "delegation",
+    "examples/pipeline_annotated.c/main": "delegation",
+}
+
+
+def _cell_slot_reason(func, cf, offsets) -> str | None:
+    """Why ``func`` may not hold slab slots in generator locals."""
+    from repro.cfront import cast as A
+    from repro.sharc.defaults import collect_local_decls
+
+    if any(isinstance(e, A.Unop) and e.op == "&"
+           and isinstance(e.operand, A.Ident) and e.operand.name in offsets
+           for e in A.all_exprs(func.body)):
+        return "address-taken"
+    types = list(func.qtype.base.params)
+    types += [d.qtype for d in collect_local_decls(func)]
+    if any(qt.is_struct or qt.is_array for qt in types):
+        return "array or struct local"
+    if cf.needs_env:
+        return "delegation"
+    return None
+
+
+def _rc_tracked_names(func) -> set:
+    """Locals ``_rc_write`` logs (the LP collector peeks their cells)."""
+    from repro.cfront import cast as A
+
+    names = set(getattr(func, "rc_locals", ()))
+    for e in A.all_exprs(func.body):
+        if getattr(e, "rc_track", False):
+            target = getattr(e, "lhs", None) or getattr(e, "expr", None)
+            if isinstance(target, A.Ident):
+                names.add(target.name)
+    return names
+
+
+@pytest.mark.parametrize("name,source", [
+    pytest.param(name, source, id=name)
+    for name, source in _census_programs()])
+def test_codegen_census(name, source):
     """Codegen accepts every defined function of every shipped program:
-    none silently degrades to the tree-walker."""
+    none silently degrades to the tree-walker.  And every function no
+    pointer into whose slab can exist keeps all its slots but the
+    rc-tracked ones in generator locals; the rest are listed in
+    ``CELL_SLOT_FUNCTIONS`` with their reason."""
+    from repro.runtime.interp import frame_layout
+
     checked = check_ok(source)
     compiled = compile_program(checked)
     assert compiled.failed == {}, \
@@ -229,3 +289,12 @@ def test_codegen_census(source):
                if f.body is not None}
     assert set(compiled.funcs) == defined, \
         f"not compiled: {sorted(defined - set(compiled.funcs))}"
+    for fname, cf in compiled.funcs.items():
+        key = f"{name}/{fname}"
+        offsets, _ = frame_layout(cf.func, checked.program.structs)
+        reason = _cell_slot_reason(cf.func, cf, offsets)
+        assert reason == CELL_SLOT_FUNCTIONS.get(key), key
+        rc = _rc_tracked_names(cf.func)
+        expected = () if reason else tuple(sorted(
+            off for local, off in offsets.items() if local not in rc))
+        assert cf.register_slots == expected, key
