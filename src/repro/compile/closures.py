@@ -30,9 +30,9 @@ class CompiledFunction:
     """One function body, closed over its static facts.  The frame
     prologue (``CompiledInterp._push_frame`` and inlined call sites) is
     precomputed too: name->slot items, parameter slots with their rc
-    flags, and the rc-tracked slot offsets in the same set-iteration
-    order the interpreter's ``_make_frame`` produces (same strings
-    inserted in the same order hash identically within one process)."""
+    flags, and the rc-tracked slot offsets, all read from the memoized
+    :func:`~repro.runtime.interp.frame_layout` the tree-walker's frames
+    use, so both backends pop rc slots in the same order."""
 
     func: A.FuncDef
     slab_size: int
@@ -40,9 +40,9 @@ class CompiledFunction:
     #: call's result
     body: object
     env_items: tuple
-    #: [(offset, rc_tracked?)] per parameter, in order
-    param_slots: list
-    rc_offs: list
+    #: ((offset, rc_tracked?), ...) per parameter, in order
+    param_slots: tuple
+    rc_offs: tuple
     #: does the body consult ``frame.env`` (lock-expression evaluation,
     #: tree-walker delegation)?  If not, the prologue can skip
     #: populating the dict entirely.

@@ -2,13 +2,14 @@
 
 The tree-walking interpreter (:mod:`repro.runtime.interp`) re-dispatches
 on every node visit and keeps one generator frame per compound
-statement/expression, so every scheduler item resumes a chain of
-frames.  This module instead emits Python *source* for the whole
-function body — statements inlined, expression temporaries in
-evaluation order, variable slots resolved to frame-slab offsets, access
-sizes and pointer scales precomputed from the static types, check sites
-bound to their :mod:`repro.runtime.dyncheck` closures — compiles it
-with ``exec``, and runs each activation as a single generator frame.
+statement and per expression that can yield, so every scheduler item
+resumes a chain of frames.  This module instead emits Python *source*
+for the whole function body — statements inlined, expression
+temporaries in evaluation order, variable slots resolved to frame-slab
+offsets, access sizes and pointer scales precomputed from the static
+types, check sites bound to their :mod:`repro.runtime.dyncheck`
+closures — compiles it with ``exec``, and runs each activation as a
+single generator frame.
 A scheduler item then resumes thread-body -> body (callees inlined the
 same way) and nothing else.
 
@@ -101,7 +102,8 @@ class FunctionCodegen:
         self.functions = pc.functions
         self.global_names = pc.global_names
         self.func = func
-        self.offsets, self.slab_size = frame_layout(func, pc.structs)
+        self.layout = frame_layout(func, pc.structs)
+        self.offsets = self.layout.offsets
         #: set True when emitted code needs ``frame.env`` populated
         self.needs_env = False
         self.lines: list[str] = []
@@ -790,9 +792,10 @@ class FunctionCodegen:
         self.w(f"if {divisor} == 0:")
         self.w(f"    raise InterpError({message!r}, {self.const(loc)})")
 
-    def _gen_binop_arm(self, e: A.Binop, opk: int, lt: str,
+    def _gen_binop_arm(self, e: A.Expr, opk: int, lt: str,
                        rt: str) -> str:
-        """One ``_eval_binop`` arm over two evaluated temps."""
+        """One ``Interp._binop_value`` arm over two evaluated temps
+        (``e`` is the ``Binop``, or the ``Assign`` of ``x op= v``)."""
         lq, rq = e.lhs.ctype, e.rhs.ctype
         l_ptr = lq is not None and (lq.is_pointer or lq.is_array)
         r_ptr = rq is not None and (rq.is_pointer or rq.is_array)
@@ -896,35 +899,6 @@ class FunctionCodegen:
 
     # -- assignment --------------------------------------------------------
 
-    def _gen_compound_arm(self, e: A.Assign, old: str, val: str) -> str:
-        """``Interp._apply_binop`` — the *Python*-semantics arithmetic
-        (floor division, Python modulo) compound assignment uses."""
-        op = self._COMPOUND[e.op]
-        lq = e.lhs.ctype
-        l_ptr = lq is not None and (lq.is_pointer or lq.is_array)
-        t = self.tmp()
-        if l_ptr and op in ("+", "-"):
-            scale = self._ptr_scale(lq)
-            sign = "+" if op == "+" else "-"
-            self.w(f"{t} = int({old}) {sign} int({val}) * {scale}")
-            return t
-        if op in ("/", "%"):
-            self._zero_check(val, f"{op} by zero", e.loc)
-            if op == "/":
-                self.w(f"if isinstance({old}, float) "
-                       f"or isinstance({val}, float):")
-                self.w(f"    {t} = {old} / {val}")
-                self.w("else:")
-                self.w(f"    {t} = {old} // {val}")
-            else:
-                self.w(f"{t} = {old} % {val}")
-            return t
-        if op in ("+", "-", "*"):
-            self.w(f"{t} = {old} {op} {val}")
-            return t
-        self.w(f"{t} = int({old}) {op} int({val})")
-        return t
-
     def _gen_assign(self, e: A.Assign) -> str:
         lhs = e.lhs
         lhs_qt = lhs.ctype
@@ -933,6 +907,8 @@ class FunctionCodegen:
             return self.gen_delegate(e)  # block copy: tree-walk it
         rc = getattr(e, "rc_track", False)
         compound = e.op != "="
+        # x op= v: the binary operator's arm over the old value
+        opk = _BINOP_K[self._COMPOUND[e.op]] if compound else -1
         rv = self.gen_expr(e.rhs)
         if self._reuse(rv):
             vt = rv
@@ -945,7 +921,7 @@ class FunctionCodegen:
             addr = f"(slab + {off})"
             if compound:
                 ot = self.fast_read(addr)
-                vt = self._gen_compound_arm(e, ot, vt)
+                vt = self._gen_binop_arm(e, opk, ot, vt)
             wt = vt
             if self._sizeof(lhs) == 1:
                 wt = self.tmp()
@@ -964,7 +940,7 @@ class FunctionCodegen:
             self.w(f"{at} = {addr}")
         if compound:
             old = self.gen_read_access(lhs, at, safe=safe)
-            vt = self._gen_compound_arm(e, old, vt)
+            vt = self._gen_binop_arm(e, opk, old, vt)
         self.gen_write_access(lhs, at, vt, rc, safe=safe)
         return vt
 
@@ -1242,7 +1218,6 @@ class FunctionCodegen:
     # -- whole function ----------------------------------------------------
 
     def compile(self) -> CompiledFunction:
-        tracked = set(getattr(self.func, "rc_locals", []))
         self.gen_stmt(self.func.body)
         self.flush()
         self.w("return 0")
@@ -1284,11 +1259,9 @@ class FunctionCodegen:
         body = ns["_make"](tuple(self.consts), _truthy, InterpError,
                            IMPLS, _Break, _Continue, Frame, _UNSET)
         return CompiledFunction(
-            self.func, self.slab_size, body,
+            self.func, self.layout.size, body,
             env_items=tuple(self.offsets.items()),
-            param_slots=[(self.offsets[name], name in tracked)
-                         for name in self.func.param_names],
-            rc_offs=[self.offsets[n] for n in tracked
-                     if n in self.offsets],
+            param_slots=self.layout.param_slots,
+            rc_offs=self.layout.rc_offsets,
             needs_env=self.needs_env,
             register_slots=tuple(sorted(self.regs)))

@@ -21,6 +21,17 @@ check skipped and RC off — the baseline for the time-overhead metric.
 Threads are Python generators yielding accumulated step costs (or
 ``("block", predicate, note)``); the scheduler interleaves them
 deterministically per seed, so every reported race is replayable.
+
+Expressions take one of two paths.  A *flat* subtree — literals,
+``NULL``, register-like scalar locals, and ``- ! ~``, binary operators
+and casts over flat operands — can never yield or touch a checked
+access, so ``eval_expr`` evaluates it with plain recursive calls;
+everything else runs as nested generators.  Both paths charge the same
+ticks in the same order (one per node entry plus one per l-value, all
+before any ``InterpError`` is raised) and read register slots through
+``space.read``, so steps, the page census and an aborted run's clock do
+not depend on the path.  Each operator's arithmetic is written once and
+shared by both paths and by compound assignment.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.errors import DiagKind, InterpError, Loc
 from repro.cfront import cast as A
@@ -148,13 +159,27 @@ class Frame:
     slab_size: int = 0
 
 
-def frame_layout(func: A.FuncDef, structs) -> tuple[dict[str, int], int]:
-    """Byte offset of every parameter and local within the function's
-    frame slab, plus the slab size.  The single source of truth for
-    frame layout: ``Interp._make_frame`` builds environments from it and
-    the compiled backend (:mod:`repro.compile`) bakes the offsets into
-    its generated code, so both backends place every local at the same
-    address."""
+class FrameLayout(NamedTuple):
+    """A function's frame slab: the byte offset of every parameter and
+    local, the slab size, ``(offset, rc-tracked?)`` per parameter in
+    order, and the offsets of the rc-tracked locals."""
+
+    offsets: dict[str, int]
+    size: int
+    param_slots: tuple[tuple[int, bool], ...]
+    rc_offsets: tuple[int, ...]
+
+
+def frame_layout(func: A.FuncDef, structs) -> FrameLayout:
+    """The function's frame layout, computed once and memoized on the
+    ``FuncDef`` (the instrumenter has set ``rc_locals`` by then).  The
+    single source of truth for frame layout: ``Interp.call_function``
+    builds environments from it and the compiled backend
+    (:mod:`repro.compile`) bakes the offsets into its generated code,
+    so both backends place every local at the same address."""
+    layout = getattr(func, "sharc_layout", None)
+    if layout is not None:
+        return layout
     from repro.sharc.defaults import collect_local_decls
     ftype = func.qtype.base
     assert isinstance(ftype, FuncType)
@@ -170,7 +195,13 @@ def frame_layout(func: A.FuncDef, structs) -> tuple[dict[str, int], int]:
         offset = (offset + align - 1) // align * align
         offsets[name] = offset
         offset += size
-    return offsets, max(offset, 1)
+    tracked = dict.fromkeys(getattr(func, "rc_locals", ()))
+    layout = FrameLayout(
+        offsets, max(offset, 1),
+        tuple((offsets[n], n in tracked) for n in func.param_names),
+        tuple(offsets[n] for n in tracked if n in offsets))
+    func.sharc_layout = layout  # type: ignore[attr-defined]
+    return layout
 
 
 @dataclass
@@ -600,44 +631,48 @@ class Interp:
     # -- expressions ---------------------------------------------------------------------
 
     def eval_expr(self, e: A.Expr, thread: Thread, frame: Frame):
-        """Generator: evaluates an expression to a runtime value.
-        Branches are ordered by measured node frequency."""
+        """Generator: evaluates an expression to a runtime value.  A flat
+        subtree (:meth:`_is_flat`) goes to the plain :meth:`_eval_flat`,
+        which charges the same ticks in the same order — one per node
+        entry plus one per l-value, all before any ``InterpError`` — and
+        reads register slots through ``space.read``.  Other branches are
+        ordered by measured node frequency."""
+        flat = getattr(e, "sharc_flat", None)
+        if flat or flat is None and self._is_flat(e):
+            return self._eval_flat(e, frame.env)
         self._pending += 1
         self.stats.steps_total += 1
         k = _EXPR_KIND.get(e.__class__, -1)
-        if k == _E_IDENT:
-            env = frame.env
-            if e.name not in env:
-                if e.name in self.functions:
-                    return ("fn", e.name)
-                if e.name not in self.globals_env and e.name in IMPLS:
-                    return ("fn", e.name)
+        if k == _E_IDENT or k == _E_MEMBER or k == _E_INDEX or (
+                k == _E_UNOP and e.op == "*"):
+            if k == _E_IDENT:
+                # eval_lvalue's Ident case, inline (a register-like
+                # scalar is flat and never gets here)
+                name = e.name
+                addr = frame.env.get(name)
+                if addr is None:
+                    if name in self.functions:
+                        return ("fn", name)
+                    addr = self.globals_env.get(name)
+                    if addr is None and name in IMPLS:
+                        return ("fn", name)
+                self._pending += 1  # the eval_lvalue entry
+                self.stats.steps_total += 1
+                if addr is None:
+                    raise InterpError(f"no storage for {name!r}", e.loc)
+            else:
+                addr = yield from self.eval_lvalue(e, thread, frame)
             is_arr = getattr(e, "sharc_is_arr", None)
             if is_arr is None:
                 qt = e.ctype
                 is_arr = qt is not None and qt.is_array
                 e.sharc_is_arr = is_arr  # type: ignore[attr-defined]
-            addr = yield from self.eval_lvalue(e, thread, frame)
             if is_arr:
                 return addr
             value = yield from self._do_read(e, addr, thread, frame)
             return value
-        if k == _E_LIT:
-            return e.value
         if k == _E_BINOP:
             value = yield from self._eval_binop(e, thread, frame)
-            return value
-        if k == _E_MEMBER or k == _E_INDEX or (
-                k == _E_UNOP and e.op == "*"):
-            is_arr = getattr(e, "sharc_is_arr", None)
-            if is_arr is None:
-                qt = e.ctype
-                is_arr = qt is not None and qt.is_array
-                e.sharc_is_arr = is_arr  # type: ignore[attr-defined]
-            addr = yield from self.eval_lvalue(e, thread, frame)
-            if is_arr:
-                return addr
-            value = yield from self._do_read(e, addr, thread, frame)
             return value
         if k == _E_UNOP:
             value = yield from self._eval_unop(e, thread, frame)
@@ -648,8 +683,6 @@ class Interp:
         if k == _E_CALL:
             value = yield from self._eval_call(e, thread, frame)
             return value
-        if k == _E_NULL:
-            return 0
         if k == _E_STR:
             if e.value not in self._strings:
                 self._strings[e.value] = self.space.alloc_c_string(e.value)
@@ -660,15 +693,7 @@ class Interp:
             return self._sizeof_node(e.of_expr)
         if k == _E_CAST:
             value = yield from self.eval_expr(e.expr, thread, frame)
-            if isinstance(value, float) and e.to.is_integral:
-                return int(value)
-            if isinstance(value, int) and e.to.is_integral and \
-                    e.to.base.size(self.structs) == 1:
-                return value & 0xFF
-            if isinstance(value, int) and e.to.is_arith and \
-                    not e.to.is_integral:
-                return float(value)
-            return value
+            return self._cast_value(e, value)
         if k == _E_SCAST:
             value = yield from self._eval_scast(e, thread, frame)
             return value
@@ -685,6 +710,81 @@ class Interp:
                 value = yield from self.eval_expr(part, thread, frame)
             return value
         raise InterpError(f"cannot evaluate {type(e).__name__}", e.loc)
+
+    def _is_flat(self, e: A.Expr) -> bool:
+        """Is ``e`` flat (see the module docstring)?  Memoized on the
+        node as ``sharc_flat``, with a flat binop's ``sharc_binop``."""
+        flat = getattr(e, "sharc_flat", None)
+        if flat is not None:
+            return flat
+        k = _EXPR_KIND.get(e.__class__, -1)
+        if k == _E_LIT or k == _E_NULL:
+            flat = True
+        elif k == _E_IDENT:  # register-like locals are never arrays
+            flat = getattr(e, "sharc_reg", False)
+        elif k == _E_UNOP:
+            flat = e.op in ("-", "!", "~") and self._is_flat(e.operand)
+        elif k == _E_BINOP:
+            flat = self._is_flat(e.lhs) and self._is_flat(e.rhs)
+            if flat and getattr(e, "sharc_binop", None) is None:
+                e.sharc_binop = self._binop_meta(  # type: ignore
+                    e.op, e.lhs.ctype, e.rhs.ctype)
+        elif k == _E_CAST:
+            flat = self._is_flat(e.expr)
+        else:
+            flat = False
+        e.sharc_flat = flat  # type: ignore[attr-defined]
+        return flat
+
+    def _eval_flat(self, e: A.Expr, env: dict):
+        """Evaluates a flat subtree with plain calls: ``eval_expr``'s
+        values and ticks without its generator frames."""
+        k = _EXPR_KIND[e.__class__]
+        if k == _E_IDENT:
+            # the eval_expr and eval_lvalue entries; a register local's
+            # read is not a memory access (see _do_read)
+            self._pending += 2
+            self.stats.steps_total += 2
+            return self.space.read(env[e.name], e.loc)
+        self._pending += 1
+        self.stats.steps_total += 1
+        if k == _E_LIT:
+            return e.value
+        if k == _E_BINOP:
+            meta = e.sharc_binop
+            opk = meta[0]
+            lhs = self._eval_flat(e.lhs, env)
+            if (opk == _B_ANDAND or opk == _B_OROR) and \
+                    _truthy(lhs) == (opk == _B_OROR):  # short circuit
+                return int(opk == _B_OROR)
+            return self._binop_value(e, meta, lhs,
+                                     self._eval_flat(e.rhs, env))
+        if k == _E_UNOP:
+            return self._unop_value(e, self._eval_flat(e.operand, env))
+        if k == _E_CAST:
+            return self._cast_value(e, self._eval_flat(e.expr, env))
+        return 0  # NULL
+
+    def _cast_value(self, e: A.CastExpr, value):
+        to = e.to
+        if isinstance(value, float) and to.is_integral:
+            return int(value)
+        if isinstance(value, int) and to.is_integral and \
+                to.base.size(self.structs) == 1:
+            return value & 0xFF
+        if isinstance(value, int) and to.is_arith and not to.is_integral:
+            return float(value)
+        return value
+
+    @staticmethod
+    def _unop_value(e: A.Unop, value):
+        if e.op == "-":
+            return -value
+        if e.op == "!":
+            return 0 if _truthy(value) else 1
+        if e.op == "~":
+            return ~int(value)
+        raise InterpError(f"unknown unary {e.op}", e.loc)
 
     def _eval_unop(self, e: A.Unop, thread: Thread, frame: Frame):
         if e.op == "&":
@@ -704,13 +804,7 @@ class Interp:
                 rc_track=getattr(e, "rc_track", False))
             return old if e.postfix else new
         value = yield from self.eval_expr(e.operand, thread, frame)
-        if e.op == "-":
-            return -value
-        if e.op == "!":
-            return 0 if _truthy(value) else 1
-        if e.op == "~":
-            return ~int(value)
-        raise InterpError(f"unknown unary {e.op}", e.loc)
+        return self._unop_value(e, value)
 
     def _ptr_scale(self, qt: Optional[QualType]) -> int:
         if qt is None:
@@ -719,12 +813,12 @@ class Interp:
             return qt.pointee().base.size(self.structs)
         return 1
 
-    def _binop_meta(self, e: A.Binop) -> tuple:
+    def _binop_meta(self, op: str, lq: Optional[QualType],
+                    rq: Optional[QualType]) -> tuple:
         """Static facts about one binop occurrence, computed once: the
         op code plus pointer-arithmetic scales derived from the operand
         types (which never change between executions)."""
-        opk = _BINOP_K.get(e.op, -1)
-        lq, rq = e.lhs.ctype, e.rhs.ctype
+        opk = _BINOP_K.get(op, -1)
         l_ptr = lq is not None and (lq.is_pointer or lq.is_array)
         r_ptr = rq is not None and (rq.is_pointer or rq.is_array)
         # Scales are only consulted for +/-, but computing them eagerly
@@ -743,23 +837,26 @@ class Interp:
     def _eval_binop(self, e: A.Binop, thread: Thread, frame: Frame):
         meta = getattr(e, "sharc_binop", None)
         if meta is None:
-            meta = self._binop_meta(e)
+            meta = self._binop_meta(e.op, e.lhs.ctype, e.rhs.ctype)
             e.sharc_binop = meta  # type: ignore[attr-defined]
         opk = meta[0]
-        if opk == _B_ANDAND:
-            lhs = yield from self.eval_expr(e.lhs, thread, frame)
-            if not _truthy(lhs):
-                return 0
-            rhs = yield from self.eval_expr(e.rhs, thread, frame)
-            return 1 if _truthy(rhs) else 0
-        if opk == _B_OROR:
-            lhs = yield from self.eval_expr(e.lhs, thread, frame)
-            if _truthy(lhs):
-                return 1
-            rhs = yield from self.eval_expr(e.rhs, thread, frame)
-            return 1 if _truthy(rhs) else 0
         lhs = yield from self.eval_expr(e.lhs, thread, frame)
+        if (opk == _B_ANDAND or opk == _B_OROR) and \
+                _truthy(lhs) == (opk == _B_OROR):  # short circuit
+            return int(opk == _B_OROR)
         rhs = yield from self.eval_expr(e.rhs, thread, frame)
+        return self._binop_value(e, meta, lhs, rhs)
+
+    @staticmethod
+    def _binop_value(e: A.Expr, meta: tuple, lhs, rhs):
+        """The value of a binary operator over its evaluated operands
+        (for ``&&`` / ``||``, once the left one did not decide it),
+        ``meta`` from :meth:`_binop_meta`.  ``/`` and ``%`` truncate
+        toward zero as in C.  Shared by both expression paths and
+        compound assignment (``e`` is then the ``Assign``)."""
+        opk = meta[0]
+        if opk == _B_ANDAND or opk == _B_OROR:
+            return 1 if _truthy(rhs) else 0
         if opk == _B_ADD:
             l_ptr, r_ptr = meta[1], meta[2]
             if l_ptr and not r_ptr:
@@ -839,37 +936,15 @@ class Interp:
         addr = yield from self.eval_lvalue(e.lhs, thread, frame)
         if e.op != "=":
             old = yield from self._do_read(e.lhs, addr, thread, frame)
-            synthetic = A.Binop(self._COMPOUND[e.op], e.lhs, e.rhs,
-                                loc=e.loc)
-            value = self._apply_binop(synthetic, old, value, e.lhs.ctype,
-                                      e.rhs.ctype, e.loc)
+            meta = getattr(e, "sharc_binop", None)
+            if meta is None:
+                meta = self._binop_meta(self._COMPOUND[e.op], lhs_qt,
+                                        e.rhs.ctype)
+                e.sharc_binop = meta  # type: ignore[attr-defined]
+            value = self._binop_value(e, meta, old, value)
         yield from self._do_write(e.lhs, addr, value, thread, frame,
                                   rc_track=getattr(e, "rc_track", False))
         return value
-
-    def _apply_binop(self, node, lhs, rhs, lq, rq, loc):
-        """Pure arithmetic used by compound assignment."""
-        op = node.op
-        l_ptr = lq is not None and (lq.is_pointer or lq.is_array)
-        if op == "+" and l_ptr:
-            return int(lhs) + int(rhs) * self._ptr_scale(lq)
-        if op == "-" and l_ptr:
-            return int(lhs) - int(rhs) * self._ptr_scale(lq)
-        table = {
-            "+": lambda: lhs + rhs, "-": lambda: lhs - rhs,
-            "*": lambda: lhs * rhs,
-            "/": lambda: (lhs / rhs if isinstance(lhs, float)
-                          or isinstance(rhs, float) else lhs // rhs),
-            "%": lambda: lhs % rhs,
-            "&": lambda: int(lhs) & int(rhs),
-            "|": lambda: int(lhs) | int(rhs),
-            "^": lambda: int(lhs) ^ int(rhs),
-            "<<": lambda: int(lhs) << int(rhs),
-            ">>": lambda: int(lhs) >> int(rhs),
-        }
-        if (op in ("/", "%")) and rhs == 0:
-            raise InterpError(f"{op} by zero", loc)
-        return table[op]()
 
     def _eval_scast(self, e: A.SCastExpr, thread: Thread, frame: Frame):
         """Figure 7: null out the source slot, then check the reference
@@ -941,28 +1016,21 @@ class Interp:
         raise InterpError(f"call of undefined function {callee_name!r}",
                           e.loc)
 
-    def _make_frame(self, func: A.FuncDef) -> Frame:
-        offsets, slab_size = frame_layout(func, self.structs)
-        frame = Frame(func, slab_size=slab_size)
-        frame.slab = self.space.alloc(frame.slab_size, "stack")
-        for name, off in offsets.items():
-            frame.env[name] = frame.slab + off
-        tracked = set(getattr(func, "rc_locals", []))
-        frame.rc_slots = [frame.env[n] for n in tracked if n in frame.env]
-        return frame
-
     def call_function(self, thread: Thread, func: A.FuncDef, args: list):
         """Generator: executes a user function body in a fresh frame."""
         if func.body is None:
             raise InterpError(f"call of undefined function {func.name!r}",
                               func.loc)
-        frame = self._make_frame(func)
-        ftype = func.qtype.base
-        tracked = set(getattr(func, "rc_locals", []))
-        for name, value in zip(func.param_names, args):
-            addr = frame.env[name]
+        layout = frame_layout(func, self.structs)
+        frame = Frame(func, slab_size=layout.size)
+        frame.slab = slab = self.space.alloc(layout.size, "stack")
+        for name, off in layout.offsets.items():
+            frame.env[name] = slab + off
+        frame.rc_slots = [slab + off for off in layout.rc_offsets]
+        for (off, tracked), value in zip(layout.param_slots, args):
+            addr = slab + off
             old = self.space.write(addr, value, func.loc)
-            if name in tracked:
+            if tracked:
                 self._rc_write(thread, addr, old, value)
         try:
             yield from self.exec_stmt(func.body, thread, frame)

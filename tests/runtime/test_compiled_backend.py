@@ -291,7 +291,7 @@ def test_codegen_census(name, source):
         f"not compiled: {sorted(defined - set(compiled.funcs))}"
     for fname, cf in compiled.funcs.items():
         key = f"{name}/{fname}"
-        offsets, _ = frame_layout(cf.func, checked.program.structs)
+        offsets = frame_layout(cf.func, checked.program.structs).offsets
         reason = _cell_slot_reason(cf.func, cf, offsets)
         assert reason == CELL_SLOT_FUNCTIONS.get(key), key
         rc = _rc_tracked_names(cf.func)

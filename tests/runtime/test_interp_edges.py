@@ -44,6 +44,40 @@ class TestCompoundOps:
         }
         """).output == "7\n"
 
+    @pytest.mark.parametrize("backend", ["interp", "compiled"])
+    def test_compound_divide_and_modulo_truncate(self, backend):
+        """``x /= y`` and ``x %= y`` truncate toward zero like ``x / y``
+        and ``x % y``, in a register local and in memory."""
+        assert run_clean("""
+        int g[2];
+        int main() {
+          int a = -7;
+          int b = -7;
+          a /= 2;
+          b %= 2;
+          g[0] = 7;
+          g[1] = 7;
+          g[0] /= -2;
+          g[1] %= -2;
+          printf("%d %d %d %d\\n", a, b, g[0], g[1]);
+          return 0;
+        }
+        """, backend=backend).output == "-3 -1 -3 1\n"
+
+    @pytest.mark.parametrize("backend", ["interp", "compiled"])
+    @pytest.mark.parametrize("op,message", [("/=", "division by zero"),
+                                            ("%=", "modulo by zero")])
+    def test_compound_divide_by_zero(self, backend, op, message):
+        checked = check_ok("""
+        int main() {
+          int a = 5;
+          int z = 0;
+          a %s z;
+          return a;
+        }
+        """ % op)
+        assert message in run_checked(checked, backend=backend).error
+
     def test_increment_on_member(self):
         assert run_clean("""
         typedef struct ctr { int n; } ctr_t;
