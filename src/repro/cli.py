@@ -54,9 +54,16 @@ from repro.sharc.checker import check_source
 from repro.runtime.interp import run_checked
 
 
+class InputError(Exception):
+    """An input file the command names cannot be read."""
+
+
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _trace_config(args: argparse.Namespace):
@@ -1090,7 +1097,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print(f"sharc: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

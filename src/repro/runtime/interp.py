@@ -67,7 +67,7 @@ from repro.runtime.eraser import ACCESS_COST, EraserChecker
 from repro.runtime.locks import LockTable
 from repro.runtime.refcount import make_scheme
 from repro.runtime.scheduler import (
-    DeadlockError, Scheduler, Thread, ThreadState,
+    HELD, RUN_TO_BLOCK, DeadlockError, Scheduler, Thread, ThreadState,
 )
 from repro.runtime.shadow import ShadowMemory, TooManyThreads
 from repro.runtime.stats import RunStats
@@ -133,6 +133,8 @@ class ProgramExit(Exception):
 
 #: what ends a thread's generator, handled by ``Interp._thread_stopped``
 _THREAD_STOPS = (StopIteration, ProgramExit, TooManyThreads, InterpError)
+#: step budget of a counted burst, which runs its items whatever they cost
+_NO_BUDGET = 1 << 62
 
 
 class _Break(Exception):
@@ -1229,7 +1231,13 @@ class Interp:
         or ``max_steps`` is spent.  Per item it only advances the
         generator and sums the cost; ``thread.steps`` takes the burst's
         sum once, before anything that reads it (``finish`` / ``fail``
-        publish it on the bus)."""
+        publish it on the bus).
+
+        A run-to-block burst (``RUN_TO_BLOCK`` or ``HELD``) ends at the
+        first item that brings the run to ``max_steps``.  A held burst
+        stands for one pick per item, so it also ends after an item
+        that called ``notify()`` (the next pick polls the wake-ups
+        there) and counts one scheduling decision per item."""
         sched = self.sched
         pick = sched.pick
         note_ran = sched.note_ran
@@ -1244,6 +1252,9 @@ class Interp:
                 return
             if thread is None:
                 return  # all threads done
+            held = burst == HELD
+            budget = max_steps - steps if burst >= RUN_TO_BLOCK \
+                else _NO_BUDGET
             # Generator items consumed this burst — the replayable unit
             # of the context-switch trace (terminal items count: they
             # advance the generator too).
@@ -1257,6 +1268,10 @@ class Interp:
                     item = advance()
                 except _THREAD_STOPS as stop:
                     ran += 1
+                    # Ticks charged since the thread's last yield (all
+                    # of them when it dies on an error) are its own.
+                    used += self._pending
+                    self._pending = 0
                     thread.steps += used
                     steps += used
                     used = 0
@@ -1283,6 +1298,10 @@ class Interp:
                 else:
                     cost = item if isinstance(item, int) else 0
                 used += cost if cost > 0 else 1
+                if used >= budget or held and sched.notified:
+                    break
+            if held:
+                sched.context_switches += ran - 1
             if used:
                 steps += used
                 thread.steps += used

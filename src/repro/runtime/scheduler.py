@@ -77,6 +77,18 @@ class DeadlockError(Exception):
     """All live threads are blocked with unsatisfiable predicates."""
 
 
+#: burst length of a *run-to-block* burst: the thread runs until it
+#: blocks or finishes, or until the run's ``max_steps`` is spent
+RUN_TO_BLOCK = 1 << 30
+#: burst length of a *held* run-to-block burst: the policy would answer
+#: "keep this thread, one item" at every pick until something changes,
+#: so the burst also ends after an item that calls
+#: :meth:`Scheduler.notify` (the next pick polls the wake-ups there, as
+#: a one-item pick would have) and counts one scheduling decision per
+#: item it ran
+HELD = RUN_TO_BLOCK + 1
+
+
 # -- policies ---------------------------------------------------------------
 
 
@@ -93,7 +105,8 @@ class SchedulingPolicy:
 
     def pick(self, candidates: list[Thread],
              sched: "Scheduler") -> tuple[Thread, int]:
-        """Returns (thread, burst length >= 1).  ``candidates`` is
+        """Returns (thread, burst length >= 1), where the length may be
+        :data:`RUN_TO_BLOCK` or :data:`HELD`.  ``candidates`` is
         non-empty and ordered by spawn (tid) order."""
         raise NotImplementedError
 
@@ -147,12 +160,13 @@ class RoundRobinPolicy(SchedulingPolicy):
 
 
 class SerialPolicy(SchedulingPolicy):
-    """Runs the first runnable thread until it blocks or finishes."""
+    """Runs the first runnable thread until it blocks or finishes (or
+    the run's ``max_steps`` is spent)."""
 
     name = "serial"
 
     def pick(self, candidates, sched):
-        return candidates[0], 1 << 30
+        return candidates[0], RUN_TO_BLOCK
 
 
 class PCTPolicy(SchedulingPolicy):
@@ -222,10 +236,14 @@ class PreemptionBoundPolicy(SchedulingPolicy):
     it blocks or finishes, except for at most ``bound`` preemptions
     placed at random scheduling points (probability ``rate`` each).
 
-    Bursts are one item long so *every* scheduled item is a potential
-    preemption point; with multi-item bursts a short-lived thread can
-    finish inside its first burst and the policy never gets a chance to
-    preempt it at all (it collapses into the serial order).
+    While preemptions remain, bursts are one item long so *every*
+    scheduled item is a potential preemption point; with multi-item
+    bursts a short-lived thread can finish inside its first burst and
+    the policy never gets a chance to preempt it at all (it collapses
+    into the serial order).  Once the bound is spent the only possible
+    answer is "keep the current thread", which draws nothing from the
+    RNG, so the pick hands out one :data:`HELD` burst instead of one
+    pick per item.
     """
 
     name = "pb"
@@ -250,7 +268,7 @@ class PreemptionBoundPolicy(SchedulingPolicy):
             # The previous thread blocked or finished: switching is free.
             current = candidates[0]
         self._current = current
-        return current, 1
+        return current, HELD if self._used >= self.bound else 1
 
 
 class ReplayPolicy(SchedulingPolicy):
@@ -275,7 +293,7 @@ class ReplayPolicy(SchedulingPolicy):
             for thread in candidates:
                 if thread.tid == tid:
                     return thread, max(1, items)
-        return candidates[0], 1 << 30
+        return candidates[0], RUN_TO_BLOCK
 
 
 #: spec-string registry; ``pct:4`` / ``pb:1`` set the numeric parameter
@@ -341,8 +359,12 @@ class Scheduler:
         #: None once spawn, block, wake, finish or fail changed the set
         self._runnable: Optional[list[Thread]] = None
         #: set by :meth:`notify`: re-poll ``_blocked`` at the next pick
-        self._poll = False
+        #: (the run loop ends a held burst on it)
+        self.notified = False
         self._next_tid = 1
+        #: scheduling decisions: one per pick, plus one per further
+        #: item of a :data:`HELD` burst (the run loop adds those), so
+        #: the count is the one a pick per item would give
         self.context_switches = 0
         #: merged (tid, items) context-switch trace; None when disabled
         self.trace: Optional[list[tuple[int, int]]] = (
@@ -362,7 +384,7 @@ class Scheduler:
     def notify(self) -> None:
         """Something a blocked thread may wait on changed: re-poll the
         blocked threads' predicates at the next pick."""
-        self._poll = True
+        self.notified = True
 
     def spawn(self, gen: Iterator, name: str = "") -> Thread:
         tid = self._next_tid
@@ -385,7 +407,7 @@ class Scheduler:
         thread.block_note = note
         self._blocked[thread.tid] = thread
         self._runnable = None
-        self._poll = True
+        self.notified = True
 
     def _retire(self, thread: Thread, state: ThreadState) -> None:
         if thread.tid in self._live:
@@ -395,7 +417,7 @@ class Scheduler:
             self._runnable = None
         thread.state = state
         thread.ready = None
-        self._poll = True  # joiners wait on this
+        self.notified = True  # joiners wait on this
 
     def finish(self, thread: Thread, result: object) -> None:
         self._retire(thread, ThreadState.DONE)
@@ -414,7 +436,7 @@ class Scheduler:
     # -- picking ----------------------------------------------------------------
 
     def _wake_ready(self) -> None:
-        self._poll = False
+        self.notified = False
         woken = [t for t in self._blocked.values() if t.ready()]
         for thread in woken:
             del self._blocked[thread.tid]
@@ -426,7 +448,7 @@ class Scheduler:
 
     def runnable(self) -> list[Thread]:
         """The RUNNABLE threads in tid order (shared: do not mutate)."""
-        if self._poll:
+        if self.notified:
             self._wake_ready()
         candidates = self._runnable
         if candidates is None:

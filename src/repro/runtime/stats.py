@@ -43,6 +43,8 @@ class RunStats:
     rc_bytes: int = 0
 
     threads_peak: int = 0
+    #: scheduling decisions, one per pick and one per item of a held
+    #: burst (see ``repro.runtime.scheduler.HELD``)
     context_switches: int = 0
     shadow_updates: int = 0
     shadow_fastpath_hits: int = 0

@@ -95,6 +95,16 @@ class TestRun:
     def test_rc_scheme_flag(self, clean_file):
         assert main(["run", clean_file, "--rc", "naive"]) == 0
 
+    @pytest.mark.parametrize("command", ["run", "explore"])
+    def test_missing_file_is_one_error_line(self, tmp_path, command,
+                                            capsys):
+        missing = str(tmp_path / "nope.c")
+        assert main([command, missing]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"sharc: error: cannot read {missing}: "
+                       "No such file or directory\n")
+
 
 class TestParser:
     def test_requires_subcommand(self):

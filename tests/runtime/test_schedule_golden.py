@@ -53,13 +53,14 @@ def _digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
-def fingerprint(checked, seed: int, policy: str, backend: str,
-                world_factory=None, checker: str = "sharc") -> dict:
+def fingerprint(checked, seed: int, policy, backend: str,
+                world_factory=None, checker: str = "sharc",
+                max_steps: int = MAX_STEPS) -> dict:
     world = world_factory() if world_factory is not None else None
     interp = make_interp(checked, backend=backend, seed=seed, world=world,
                          policy=policy, record_trace=True,
                          checker=checker)
-    result = interp.run(max_steps=MAX_STEPS)
+    result = interp.run(max_steps=max_steps)
     stats = dataclasses.asdict(result.stats)
     del stats["wall_seconds"]
     stats["sites"] = sorted(map(repr, stats["sites"].items()))
