@@ -7,15 +7,14 @@ shadow memory, lock table, RC scheme, RNG streams, tracing bus, global
 initialization, builtins — is the inherited machinery, shared verbatim
 with the tree-walker, which is what makes compiled runs bit-identical
 by seed (same steps, reports, and trace hashes; only wall time
-changes).  A function codegen declined (exotic node, unsizable type)
-transparently falls back to the inherited tree-walking
-``call_function``; its callees still dispatch through this override,
-so the rest of the program stays compiled.
+changes).  Every function body is compiled; none runs on the
+tree-walker.
 """
 
 from __future__ import annotations
 
 from repro.cfront import cast as A
+from repro.errors import InterpError
 from repro.runtime.addrspace import PAGE_SIZE
 from repro.runtime.interp import Frame, Interp, ThreadExit
 from repro.runtime.scheduler import Thread
@@ -44,16 +43,12 @@ class CompiledInterp(Interp):
 
     def _push_frame(self, thread: Thread, cf, args: list) -> Frame:
         """Builds a frame for a compiled function: slab allocation,
-        env/rc-slot materialization, and parameter stores — exactly the
+        rc-slot materialization, and parameter stores — exactly the
         sequence ``Interp.call_function`` performs, with the layout
         precomputed at compile time."""
         frame = Frame(cf.func, slab_size=cf.slab_size)
         space = self.space
         frame.slab = slab = space.alloc(cf.slab_size, "stack")
-        if cf.needs_env:
-            env = frame.env
-            for name, off in cf.env_items:
-                env[name] = slab + off
         frame.rc_slots = [slab + off for off in cf.rc_offs]
         # Parameter stores land in the just-allocated slab (live and
         # in-bounds by construction), so ``space.write``'s guards cannot
@@ -77,11 +72,7 @@ class CompiledInterp(Interp):
         ``call_function``.  Every scheduler item re-walks the suspended
         yield-from chain, so a frame shaved here is saved on each of the
         thread's resumes, not just at entry."""
-        cf = self.compiled.funcs.get(func.name)
-        if cf is None or cf.func is not func:
-            result = yield from Interp._thread_body(self, thread, func,
-                                                    args)
-            return result
+        cf = self.compiled.funcs[func.name]
         frame = self._push_frame(thread, cf, args)
         try:
             result = yield from cf.body(self, thread, frame)
@@ -95,12 +86,10 @@ class CompiledInterp(Interp):
         """Main-thread entry, same direct binding as ``_thread_body``
         (global initializers still tree-walk in a boot frame first)."""
         main = self.functions.get("main")
-        cf = self.compiled.funcs.get("main") if main is not None else None
-        if cf is None or cf.func is not main:
-            result = yield from Interp._main_body(self, thread)
-            return result
-        boot = Frame(main)
-        yield from self._global_init_gen(thread, boot)
+        if main is None:
+            raise InterpError("program has no main()")
+        yield from self._global_init_gen(thread, Frame(main))
+        cf = self.compiled.funcs["main"]
         frame = self._push_frame(thread, cf, [])
         try:
             result = yield from cf.body(self, thread, frame)
@@ -115,12 +104,7 @@ class CompiledInterp(Interp):
         """Generator: executes a compiled function body in a fresh
         frame.  Mirrors ``Interp.call_function`` exactly — same slab
         allocation, parameter writes, rc bookkeeping, and frame pop."""
-        cf = self.compiled.funcs.get(func.name)
-        if cf is None or cf.func is not func:
-            # Not compiled (or a shadowing redefinition): tree-walk it.
-            result = yield from Interp.call_function(self, thread, func,
-                                                     args)
-            return result
+        cf = self.compiled.funcs[func.name]
         frame = self._push_frame(thread, cf, args)
         try:
             result = yield from cf.body(self, thread, frame)

@@ -33,9 +33,9 @@ interpreter's cost model mechanically:
 
 The contract covers the page census and the cells too.  In a function
 no pointer into whose frame slab can exist (no ``&local``, no array or
-struct local, no tree-walker delegation) every slab slot except the
-rc-tracked ones — which ``_rc_write`` and the LP collector ``peek`` —
-lives in a generator local ``_rK`` instead of a cell: no other code can
+struct local) every slab slot except the rc-tracked ones — which
+``_rc_write`` and the LP collector ``peek`` — lives in a generator
+local ``_rK`` instead of a cell: no other code can
 name its address, so only the census can observe it.  A parameter
 loads once from the cell the prologue wrote; every other register slot
 starts as the ``_U`` sentinel, and its first touch in the activation
@@ -54,10 +54,10 @@ slab's cell under the tree-walker, while the compiled body holds the
 value in a local; for such a program the two backends may diverge.
 The fuzz generator indexes in bounds by construction.
 
-Anything the generator cannot express delegates per-node to the
-inherited tree-walker (``I.eval_expr``), and a function that fails
-codegen entirely runs under the tree-walker — bit-identical, just
-slower.
+Codegen is total: lock checks and struct block copies included, every
+node is emitted directly, and a body it cannot express raises
+``CompileError`` out of the whole compile.  Nothing runs on the
+tree-walker mid-run; that backend is only the reference.
 """
 
 from __future__ import annotations
@@ -104,11 +104,10 @@ class FunctionCodegen:
         self.func = func
         self.layout = frame_layout(func, pc.structs)
         self.offsets = self.layout.offsets
-        #: set True when emitted code needs ``frame.env`` populated
-        self.needs_env = False
         self.lines: list[str] = []
         self.indent = 1
         self.pend = 0          # entry ticks not yet emitted
+        self.pend_check = False  # is one of them a check tick?
         self.ntmp = 0
         self.consts: list[object] = []
         self.cmap: dict[int, str] = {}
@@ -130,25 +129,10 @@ class FunctionCodegen:
 
     # -- static facts ------------------------------------------------------
 
-    def _inline_lock(self, info) -> bool:
-        """Does ``_emit_lock_check`` inline this lock check (a global
-        mutex object named directly) rather than delegate it to the
-        tree-walker?"""
-        la = info.lock_ast
-        lq = la.ctype if la is not None else None
-        return (isinstance(la, A.Ident) and lq is not None
-                and (lq.is_struct or lq.is_array)
-                and la.name not in self.offsets
-                and la.name in self.global_names)
-
     def _plan_registers(self) -> frozenset:
         """The slab offsets that live in generator locals: all but the
         rc-tracked ones, in a function where no pointer into the slab
-        can exist — no ``&local``, no array or struct local, and
-        nothing the emitter hands to the tree-walker (which reads
-        locals through ``frame.env``).  Those are exactly the cases
-        that set ``needs_env`` or can reach a slot through a computed
-        address."""
+        can exist — no ``&local`` and no array or struct local."""
         func = self.func
         types = list(func.qtype.base.params)
         types += [d.qtype for d in collect_local_decls(func)]
@@ -160,14 +144,6 @@ class FunctionCodegen:
                     and isinstance(e.operand, A.Ident) \
                     and e.operand.name in self.offsets:
                 return frozenset()
-            if isinstance(e, A.Assign) and e.op == "=" \
-                    and e.lhs.ctype is not None and e.lhs.ctype.is_struct:
-                return frozenset()  # block copy: delegated
-            for attr in ("sharc_read", "sharc_write", "sharc_src_write"):
-                info = getattr(e, attr, None)
-                if info is not None and info.is_lock \
-                        and not self._inline_lock(info):
-                    return frozenset()
             if getattr(e, "rc_track", False):  # an Assign or SCAST
                 target = e.expr if isinstance(e, A.SCastExpr) else e.lhs
                 if isinstance(target, A.Ident):
@@ -206,9 +182,11 @@ class FunctionCodegen:
 
     def flush(self) -> None:
         if self.pend:
+            check = "; st.steps_checks += 1" if self.pend_check else ""
             self.w(f"I._pending += {self.pend}; "
-                   f"st.steps_total += {self.pend}")
+                   f"st.steps_total += {self.pend}{check}")
             self.pend = 0
+            self.pend_check = False
 
     def tmp(self) -> str:
         self.ntmp += 1
@@ -412,33 +390,44 @@ class FunctionCodegen:
 
     # -- inlined access sequences ------------------------------------------
 
+    def _emit_check(self, info, at: str, size: int,
+                    is_write: bool) -> None:
+        """One attached runtime check (``Interp._apply_check``)."""
+        if info.is_lock:
+            self._emit_lock_check(info, at, size, is_write)
+        else:
+            dyn = dynamic_check(info, size, is_write)
+            self.w(f"if {self.run_const('instrument')}: "
+                   f"{self.const(dyn)}(I, th, {at})")
+
     def _emit_lock_check(self, info, at: str, size: int,
                          is_write: bool) -> None:
-        """The ``_lock_check`` site.  When the lock expression is a
-        global mutex object named directly (the overwhelmingly common
-        ``locked(m)`` form), the whole check inlines — same charge
-        (check tick + the lock l-value's evaluation tick), same report,
-        history, and bus emissions — without the generator frame or the
-        tree-walked lock evaluation.  Anything else (lock held in a
-        local, computed lock expressions) delegates to the interpreter's
-        generator, which needs ``frame.env`` populated."""
+        """The ``Interp._lock_check`` sequence under ``instrument``:
+        the check tick, the lock expression (its l-value for a mutex
+        object, else its value), then the held test, report, history
+        and bus events.  For the common ``locked(m)`` on a global mutex
+        the lock is one ``globals_env`` lookup, flushed with the check
+        tick in one line."""
         la = info.lock_ast
-        if not self._inline_lock(info):
-            self.needs_env = True
-            self.w(f"if {self.run_const('instrument')}:")
-            self.w(f"    yield from I._lock_check({self.const(info)}"
-                   f", {at}, {size}, th, fr, {is_write})")
-            return
         lv = info.lvalue_text
         loc = self.const(info.loc)
+        self.flush()
         ht = self.tmp()
         self.w(f"if {self.run_const('instrument')}:")
         self.indent += 1
-        # _charge_check(1) + the lock Ident's eval_lvalue entry tick
-        self.w("I._pending += 2; st.steps_total += 2; "
-               "st.steps_checks += 1")
+        touched = set(self.touched)
+        self.tick(1)
+        self.pend_check = True
+        lq = la.ctype if la is not None else None
+        if la is None:
+            lock = "0"
+        elif lq is not None and (lq.is_struct or lq.is_array):
+            lock = self.gen_lvalue(la)
+        else:
+            lock = f"int({self.gen_expr(la)})"
+        self.flush()
         self.w(f"{ht} = I.locks.holds_for_access(th.tid, "
-               f"I.globals_env[{la.name!r}], {is_write})")
+               f"{lock}, {is_write})")
         self.w(f"if not {ht}:")
         self.w(f"    _h = (I.history.provenance({at}, {size}) "
                f"if I.history is not None else ())")
@@ -453,6 +442,7 @@ class FunctionCodegen:
                f"th.tid, dur=1, hit={ht}, lvalue={lv!r})")
         self.w("st.accesses_locked += 1")
         self.indent -= 1
+        self.touched = touched
 
     def _gen_scast(self, e: A.Expr) -> str:
         """The ``_eval_scast`` sequence (Figure 7): read the source,
@@ -479,12 +469,7 @@ class FunctionCodegen:
         info = getattr(e, "sharc_src_write", None)
         self.flush()
         if info is not None:
-            if info.is_lock:
-                self._emit_lock_check(info, addr, size, True)
-            else:
-                dyn = dynamic_check(info, size, True)
-                self.w(f"if {self.run_const('instrument')}: "
-                       f"{self.const(dyn)}(I, th, {addr})")
+            self._emit_check(info, addr, size, True)
         rc = getattr(e, "rc_track", False)
         if self.is_safe_addr(addr):
             ot = self.fast_write(addr, "0", want_old=rc)
@@ -543,12 +528,7 @@ class FunctionCodegen:
                f"I._eraser_access({self.const(e)}, {at}, {size}, "
                f"th, False)")
         if info is not None:
-            if info.is_lock:
-                self._emit_lock_check(info, at, size, False)
-            else:
-                dyn = dynamic_check(info, size, False)
-                self.w(f"if {self.run_const('instrument')}: "
-                       f"{self.const(dyn)}(I, th, {at})")
+            self._emit_check(info, at, size, False)
         self.emit_yield()
         if safe:
             return self.fast_read(at)
@@ -580,12 +560,7 @@ class FunctionCodegen:
                f"I._eraser_access({self.const(e)}, {addr}, {size}, "
                f"th, True)")
         if info is not None:
-            if info.is_lock:
-                self._emit_lock_check(info, addr, size, True)
-            else:
-                dyn = dynamic_check(info, size, True)
-                self.w(f"if {self.run_const('instrument')}: "
-                       f"{self.const(dyn)}(I, th, {addr})")
+            self._emit_check(info, addr, size, True)
         self.emit_yield()
         if safe:
             ot = self.fast_write(addr, wt, want_old=rc)
@@ -599,14 +574,6 @@ class FunctionCodegen:
         else:
             self.w(f"space.write({addr}, {wt}, {self.const(e.loc)})")
         return wt
-
-    def gen_delegate(self, e: A.Expr) -> str:
-        """Run one node subtree under the inherited tree-walker."""
-        self.needs_env = True
-        self.flush()
-        t = self.tmp()
-        self.w(f"{t} = yield from I.eval_expr({self.const(e)}, th, fr)")
-        return t
 
     # -- expressions -------------------------------------------------------
 
@@ -903,8 +870,21 @@ class FunctionCodegen:
         lhs = e.lhs
         lhs_qt = lhs.ctype
         if e.op == "=" and lhs_qt is not None and lhs_qt.is_struct:
-            self.pend -= 1  # eval_expr re-charges the entry
-            return self.gen_delegate(e)  # block copy: tree-walk it
+            # block copy: source, destination, write and read checks
+            # (no yield, no Eraser hook), one copy_range
+            src = self.gen_lvalue(e.rhs)
+            dst = self.gen_lvalue(lhs)
+            size = lhs_qt.base.size(self.structs)
+            self.flush()
+            for info, addr, is_write in (
+                    (getattr(lhs, "sharc_write", None), dst, True),
+                    (getattr(e.rhs, "sharc_read", None), src, False)):
+                if info is not None:
+                    self._emit_check(info, addr, size, is_write)
+            self.w(f"space.copy_range({dst}, {src}, {size}, "
+                   f"{self.const(e.loc)})")
+            self.w("st.accesses_total += 2; st.writes += 1; st.reads += 1")
+            return "0"
         rc = getattr(e, "rc_track", False)
         compound = e.op != "="
         # x op= v: the binary operator's arm over the old value
@@ -970,32 +950,23 @@ class FunctionCodegen:
         return t
 
     def _gen_user_call(self, name: str, args: str) -> str:
-        """A statically-resolved user-function call.  When the callee
-        compiled to a codegen-tier generator, the activation is inlined
-        here — same slab allocation, parameter stores, and frame pop as
-        ``CompiledInterp.call_function``, but the callee body is
-        ``yield from``-ed directly, removing one generator frame from
-        every item's resume chain.  Callees codegen declined take the
-        generic path.  The funcs dict is bound late, so call sites see
-        the final whole-program compile."""
+        """A statically-resolved user-function call, its activation
+        inlined here — same slab allocation, parameter stores, and
+        frame pop as ``CompiledInterp.call_function``, but the callee
+        body is ``yield from``-ed directly, removing one generator
+        frame from every item's resume chain.  The funcs dict is bound
+        late, so call sites see the final whole-program compile."""
         self.flush()
         t = self.tmp()
-        fk = self.const(self.functions[name])
         self.uses_fast = True
         cft = self.tmp()
         frt = self.tmp()
         slt = self.tmp()
-        self.w(f"{cft} = {self.const(self.pc.funcs_out)}.get({name!r})")
-        self.w(f"if {cft} is not None and {cft}.func is {fk}:")
-        self.indent += 1
+        self.w(f"{cft} = {self.const(self.pc.funcs_out)}[{name!r}]")
         self.w(f"{frt} = _Frame({cft}.func, "
                f"slab_size={cft}.slab_size)")
         self.w(f"{slt} = {frt}.slab = "
                f"space.alloc({cft}.slab_size, 'stack')")
-        self.w(f"if {cft}.needs_env:")
-        self.w(f"    _env = {frt}.env")
-        self.w(f"    for _n, _o in {cft}.env_items: "
-               f"_env[_n] = {slt} + _o")
         self.w(f"{frt}.rc_slots = [{slt} + _o "
                f"for _o in {cft}.rc_offs]")
         self.w(f"for (_o, _rc), _v in zip({cft}.param_slots, {args}):")
@@ -1011,10 +982,6 @@ class FunctionCodegen:
         self.w(f"    {t} = yield from {cft}.body(I, th, {frt})")
         self.w("finally:")
         self.w(f"    I._pop_frame(th, {frt})")
-        self.indent -= 1
-        self.w("else:")
-        self.w(f"    {t} = yield from I.call_function(th, {fk}, "
-               f"{args})")
         return t
 
     def _gen_call(self, e: A.Call) -> str:
@@ -1224,8 +1191,6 @@ class FunctionCodegen:
         # Unreachable, but makes every body a generator even when it
         # has no scheduling point, so all activations share one protocol.
         self.w("yield")
-        if self.regs and self.needs_env:
-            raise CompileError("register plan missed a delegation")
         header = ["st = I.stats", "space = I.space", "slab = fr.slab"]
         header += [f"{local} = {attr}"
                    for local, attr in sorted(self.bound.items())]
@@ -1260,8 +1225,6 @@ class FunctionCodegen:
                            IMPLS, _Break, _Continue, Frame, _UNSET)
         return CompiledFunction(
             self.func, self.layout.size, body,
-            env_items=tuple(self.offsets.items()),
             param_slots=self.layout.param_slots,
             rc_offs=self.layout.rc_offsets,
-            needs_env=self.needs_env,
             register_slots=tuple(sorted(self.regs)))

@@ -197,14 +197,11 @@ def _campaign_worker_init(targets: dict, settings: dict) -> None:
 
 
 def _warm_target(label: str):
-    """Check and, for the compiled backend, compile one target (both
-    cached per process)."""
+    """Check one target (cached per process).  The compiled backend
+    compiles it in the first schedule's run, inside the per-seed
+    ``try``, so a ``CompileError`` is an error row like any crash."""
     target = _WORKER["targets"][label]
-    checked = _checked_program(target["source"], target["filename"])
-    if _WORKER["settings"]["backend"] == "compiled":
-        from repro.compile.closures import compile_program
-
-        compile_program(checked)
+    _checked_program(target["source"], target["filename"])
     return target
 
 

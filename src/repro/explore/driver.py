@@ -334,13 +334,15 @@ def _resolve_policies(policies: Sequence[str], source: str,
     ``pct`` / ``pct:D`` specs therefore get ``k`` measured with one
     serial run appended — yielding a fully explicit ``pct:D:k`` spec, so
     every outcome stays replayable verbatim.  Specs that already carry a
-    horizon are left alone.
+    horizon are left alone, and so is every spec when the program does
+    not compile: each schedule then records the ``CompileError``.
 
     The measured horizon is cached alongside ``_CHECK_CACHE``, keyed by
     ``(source hash, checker, max_steps, max_burst, shadow_bytes)``, so
     repeated sweeps of the same source — campaign shards above all —
     pay the serial probe run exactly once per process.
     """
+    from repro.compile.closures import CompileError
     from repro.runtime.interp import run_checked
 
     def needs_horizon(spec: str) -> bool:
@@ -355,10 +357,14 @@ def _resolve_policies(policies: Sequence[str], source: str,
     if horizon is None:
         checked = _checked_program(source, filename)
         world = world_factory() if world_factory is not None else None
-        probe = run_checked(checked, seed=0, policy="serial",
-                            checker=checker, max_steps=max_steps,
-                            max_burst=max_burst, world=world,
-                            shadow_bytes=shadow_bytes, record_trace=True)
+        try:
+            probe = run_checked(checked, seed=0, policy="serial",
+                                checker=checker, max_steps=max_steps,
+                                max_burst=max_burst, world=world,
+                                shadow_bytes=shadow_bytes,
+                                record_trace=True)
+        except CompileError:
+            return tuple(policies)  # every schedule records the error
         horizon = max(1, sum(n for _, n in (probe.trace or [])))
         _HORIZON_CACHE[cache_key] = horizon
     resolved = []

@@ -1389,8 +1389,7 @@ def resolve_backend(backend: Optional[str]) -> str:
     falls back to the ``SHARC_BACKEND`` environment variable (which is
     how CI runs the whole suite once more under the tree-walker), and
     the default is the compiled backend.  The tree-walker stays the
-    per-function fallback of a compile and the reference that identity
-    checks pin explicitly."""
+    reference that identity checks pin explicitly."""
     if backend is None:
         backend = os.environ.get("SHARC_BACKEND") or "compiled"
     if backend not in BACKENDS:

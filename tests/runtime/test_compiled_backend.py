@@ -218,9 +218,8 @@ def _census_programs() -> list[tuple[str, str]]:
 
 #: "program/function" -> why the function keeps its slab slots in
 #: cells: a pointer into its slab can exist (an address-taken local, an
-#: array or struct local), or it hands nodes to the tree-walker, which
-#: reads locals through ``frame.env``.  Every other shipped function
-#: holds all its non-rc-tracked slots in generator locals.
+#: array or struct local).  Every other shipped function holds all its
+#: non-rc-tracked slots in generator locals.
 CELL_SLOT_FUNCTIONS = {
     "aget-annotated/getter": "array or struct local",
     "aget-unannotated/getter": "array or struct local",
@@ -234,12 +233,10 @@ CELL_SLOT_FUNCTIONS = {
     "stunnel-annotated/main": "array or struct local",
     "stunnel-unannotated/handler": "array or struct local",
     "stunnel-unannotated/main": "array or struct local",
-    "examples/pipeline_annotated.c/thrFunc": "delegation",
-    "examples/pipeline_annotated.c/main": "delegation",
 }
 
 
-def _cell_slot_reason(func, cf, offsets) -> str | None:
+def _cell_slot_reason(func, offsets) -> str | None:
     """Why ``func`` may not hold slab slots in generator locals."""
     from repro.cfront import cast as A
     from repro.sharc.defaults import collect_local_decls
@@ -252,8 +249,6 @@ def _cell_slot_reason(func, cf, offsets) -> str | None:
     types += [d.qtype for d in collect_local_decls(func)]
     if any(qt.is_struct or qt.is_array for qt in types):
         return "array or struct local"
-    if cf.needs_env:
-        return "delegation"
     return None
 
 
@@ -274,8 +269,8 @@ def _rc_tracked_names(func) -> set:
     pytest.param(name, source, id=name)
     for name, source in _census_programs()])
 def test_codegen_census(name, source):
-    """Codegen accepts every defined function of every shipped program:
-    none silently degrades to the tree-walker.  And every function no
+    """Codegen accepts every defined function of every shipped program
+    (``compile_program`` raises otherwise).  And every function no
     pointer into whose slab can exist keeps all its slots but the
     rc-tracked ones in generator locals; the rest are listed in
     ``CELL_SLOT_FUNCTIONS`` with their reason."""
@@ -283,8 +278,6 @@ def test_codegen_census(name, source):
 
     checked = check_ok(source)
     compiled = compile_program(checked)
-    assert compiled.failed == {}, \
-        f"codegen rejected: {sorted(compiled.failed.items())}"
     defined = {f.name for f in checked.program.functions()
                if f.body is not None}
     assert set(compiled.funcs) == defined, \
@@ -292,9 +285,102 @@ def test_codegen_census(name, source):
     for fname, cf in compiled.funcs.items():
         key = f"{name}/{fname}"
         offsets = frame_layout(cf.func, checked.program.structs).offsets
-        reason = _cell_slot_reason(cf.func, cf, offsets)
+        reason = _cell_slot_reason(cf.func, offsets)
         assert reason == CELL_SLOT_FUNCTIONS.get(key), key
         rc = _rc_tracked_names(cf.func)
         expected = () if reason else tuple(sorted(
             off for local, off in offsets.items() if local not in rc))
         assert cf.register_slots == expected, key
+
+
+#: struct block copies, which no other shipped program has: into and
+#: out of a ``locked(m)`` global, into a struct whose lock is reached
+#: through memory (``bx->mu``), through a racy global, and ``*d = *s``
+#: in a helper with no struct local
+STRUCTS = """
+struct pair { int a; int b; };
+typedef struct box {
+  mutex *mu;
+  struct pair locked(mu) val;
+} box_t;
+mutex m;
+struct pair locked(m) guarded;
+struct pair loose;
+
+void copy(struct pair *d, struct pair *s) {
+  *d = *s;
+}
+
+void *worker(void *arg) {
+  box_t *bx = arg;
+  struct pair mine;
+  int i;
+  for (i = 0; i < 3; i++) {
+    mutexLock(&m);
+    mine = guarded;
+    mine.a = mine.a + 1;
+    guarded = mine;
+    mutexUnlock(&m);
+    mine = guarded;
+    loose = mine;
+    copy(&mine, &loose);
+    mutexLock(bx->mu);
+    bx->val = mine;
+    mutexUnlock(bx->mu);
+    mine = bx->val;
+  }
+  return NULL;
+}
+
+int main() {
+  struct pair *x = malloc(sizeof(struct pair));
+  struct pair *y = malloc(sizeof(struct pair));
+  box_t *b = malloc(sizeof(box_t));
+  b->mu = &m;
+  box_t dynamic *bx = SCAST(box_t dynamic *, b);
+  x->a = 1;
+  x->b = 2;
+  copy(y, x);
+  int t1 = thread_create(worker, bx);
+  int t2 = thread_create(worker, bx);
+  thread_join(t1);
+  thread_join(t2);
+  copy(x, y);
+  printf("%d %d\\n", guarded.a, y->b);
+  return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("checker", ["sharc", "eraser"])
+def test_struct_copies_are_bit_identical(checker):
+    from tests.runtime.test_schedule_golden import fingerprint
+
+    checked = check_ok(STRUCTS)
+    for policy in ("random", "pct", "pb", "serial"):
+        for seed in range(4):
+            runs = [fingerprint(checked, seed, policy, backend,
+                                checker=checker)
+                    for backend in ("interp", "compiled")]
+            assert runs[0] == runs[1], (policy, seed)
+    # the copy helper's slots live in generator locals
+    assert compile_program(checked).funcs["copy"].register_slots
+
+
+@pytest.mark.parametrize("policies", [("random",), ("random", "pct")])
+def test_compile_error_is_a_counted_crash(monkeypatch, policies):
+    """A body codegen rejects fails the compiled run; the sweep records
+    every schedule as a crash instead of tree-walking the program."""
+    from repro.compile.closures import CompileError
+    from repro.compile.codegen import FunctionCodegen
+    from repro.explore.driver import explore_source
+
+    def reject(self):
+        raise CompileError(f"planted in {self.func.name}")
+
+    monkeypatch.setattr(FunctionCodegen, "compile", reject)
+    source = RACY + f"\n// compile-error sweep {'+'.join(policies)}\n"
+    summary = explore_source(source, "planted.c", seeds=3,
+                             policies=policies, backend="compiled")
+    assert summary.as_dict()["crashed_schedules"] == 3 * len(policies)
+    assert summary.crashes[0].error.startswith("CompileError:")
