@@ -1300,6 +1300,10 @@ class Interp:
                 used += cost if cost > 0 else 1
                 if used >= budget or held and sched.notified:
                     break
+            # Ticks charged since the last yield of a burst that ended
+            # on a block or io item are the thread's own, too.
+            used += self._pending
+            self._pending = 0
             if held:
                 sched.context_switches += ran - 1
             if used:

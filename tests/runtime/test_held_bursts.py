@@ -177,6 +177,39 @@ def test_dying_thread_keeps_its_steps(backend):
         assert t.steps == spans[t.tid] == 15
 
 
+JOINS = """
+int racy g = 0;
+void *worker(void *arg) {
+  g = g + 1;
+  return NULL;
+}
+int main() {
+  int t1 = thread_create(worker, NULL);
+  int t2 = thread_create(worker, NULL);
+  thread_join(t1);
+  thread_join(t2);
+  return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_blocking_thread_keeps_its_steps(backend):
+    """A burst that ends on a ``block`` item charges the ticks run
+    since the thread's last yield to that thread, not to the next
+    thread that yields."""
+    checked = check_ok(JOINS)
+    interp = make_interp(checked, backend=backend, seed=3,
+                         trace=TraceConfig())
+    result = interp.run()
+    spans: dict[int, int] = {}
+    for e in result.events:
+        if e.name == "run":
+            spans[e.tid] = spans.get(e.tid, 0) + e.dur
+    steps = {t.tid: t.steps for t in interp.sched.threads.values()}
+    assert steps == spans
+
+
 def _run_with_timeout(code: str) -> str:
     """Runs ``code`` in a fresh interpreter; a hang fails the test
     instead of the whole suite."""
