@@ -418,10 +418,10 @@ class FunctionCodegen:
         touched = set(self.touched)
         self.tick(1)
         self.pend_check = True
-        lq = la.ctype if la is not None else None
         if la is None:
             lock = "0"
-        elif lq is not None and (lq.is_struct or lq.is_array):
+        elif la.ctype is not None and (la.ctype.is_struct
+                                       or la.ctype.is_array):
             lock = self.gen_lvalue(la)
         else:
             lock = f"int({self.gen_expr(la)})"
