@@ -279,6 +279,10 @@ class Program:
     structs: StructTable = field(default_factory=StructTable)
     typedefs: dict[str, QualType] = field(default_factory=dict)
     filename: str = "<input>"
+    #: ``locked(...)`` text -> its parsed tree; see
+    #: :func:`repro.sharc.defaults.lock_expr`
+    lock_exprs: dict = field(default_factory=dict, repr=False,
+                             compare=False)
 
     def functions(self) -> list[FuncDef]:
         return [d for d in self.decls
@@ -302,6 +306,21 @@ class Program:
 # ---------------------------------------------------------------------------
 # Generic traversal helpers
 # ---------------------------------------------------------------------------
+
+
+def clone_expr(e: Expr) -> Expr:
+    """A copy of the tree under ``e`` that shares no node, list or type
+    with it (locations and names are immutable and shared)."""
+    copy = object.__new__(type(e))
+    for name, value in vars(e).items():
+        if isinstance(value, Expr):
+            value = clone_expr(value)
+        elif isinstance(value, list):
+            value = [clone_expr(v) for v in value]
+        elif isinstance(value, QualType):
+            value = value.clone()
+        setattr(copy, name, value)
+    return copy
 
 
 def child_exprs(e: Expr) -> list[Expr]:

@@ -356,6 +356,16 @@ class StructTable:
     def is_racy(self, name: str) -> bool:
         return name in self._racy
 
+    def copy(self) -> "StructTable":
+        """A copy sharing no mutable state: field types are cloned and
+        layouts are recomputed on demand."""
+        table = StructTable()
+        table._defs = {name: [(fname, ftype.clone())
+                              for fname, ftype in fields]
+                       for name, fields in self._defs.items()}
+        table._racy = set(self._racy)
+        return table
+
     def layout(self, name: str) -> StructLayout:
         if name in self._layouts:
             return self._layouts[name]

@@ -16,6 +16,7 @@ are handled here so the parser sees a clean token stream.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from repro.errors import LexError, Loc
@@ -78,66 +79,55 @@ _ESCAPES = {
     "'": "'", '"': '"', "a": "\a", "b": "\b", "f": "\f", "v": "\v",
 }
 
+#: One alternative per token class, tried in order at each position.
+#: Literal bodies are matched loosely (any escape, an optional closing
+#: quote) and checked by their handlers, so a malformed literal reports
+#: its first fault, left to right.
+_MASTER = re.compile("|".join([
+    r"(?P<trivia>(?:[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/)+)",
+    r"(?P<open_comment>/\*)",
+    r"(?P<directive>\#[^\n]*)",
+    r"(?P<hex>0[xX][0-9a-fA-F]*)",
+    r"(?P<number>\d+(?P<frac>\.\d+)?(?P<exp>[eE][+-]?\d+)?)[uUlLfF]*",
+    r"(?P<ident>[^\W\d]\w*)",
+    r'(?P<string>"(?P<sbody>(?:[^"\\\n]|\\[\s\S]?)*)(?P<squote>"?))',
+    r"(?P<char>'(?P<cbody>\\(?:x[0-9a-fA-F]*|[\s\S]?)|[^\\])?"
+    r"(?P<cquote>'?))",
+    "(?P<punct>" + "|".join(map(re.escape, PUNCTUATORS)) + ")",
+    r"(?P<other>[\s\S])",
+]))
+
+_ESCAPE = re.compile(r"\\(x[0-9a-fA-F]*|[\s\S]?)")
+
+
+def _unescape(body: str, start: Loc) -> str:
+    """Decodes the escapes in a literal's body."""
+    if "\\" not in body:
+        return body
+
+    def decode(m: re.Match) -> str:
+        seq = m.group(1)
+        if seq[:1] == "x":
+            if len(seq) == 1:
+                raise LexError("empty hex escape", start)
+            return chr(int(seq[1:], 16))
+        if seq in _ESCAPES:
+            return _ESCAPES[seq]
+        raise LexError(f"unknown escape \\{seq}", start)
+
+    return _ESCAPE.sub(decode, body)
+
 
 class Lexer:
-    """Converts source text into a list of :class:`Token`."""
+    """Converts source text into a list of :class:`Token` with one pass
+    of the master regex."""
 
     def __init__(self, source: str, filename: str = "<input>") -> None:
         self.src = source
         self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.col = 1
         self.defines: dict[str, Token] = {}
 
-    def loc(self) -> Loc:
-        return Loc(self.filename, self.line, self.col)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.src[index] if index < len(self.src) else ""
-
-    def _advance(self, count: int = 1) -> str:
-        text = self.src[self.pos:self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += count
-        return text
-
-    def _skip_trivia(self) -> None:
-        """Skips whitespace, comments, and preprocessor lines."""
-        while self.pos < len(self.src):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.src) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self.loc()
-                self._advance(2)
-                while self.pos < len(self.src):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise LexError("unterminated block comment", start)
-            elif ch == "#" and self.col == 1:
-                self._preprocessor_line()
-            else:
-                return
-
-    def _preprocessor_line(self) -> None:
-        start = self.loc()
-        line_start = self.pos
-        while self.pos < len(self.src) and self._peek() != "\n":
-            self._advance()
-        text = self.src[line_start:self.pos].strip()
+    def _directive(self, text: str, start: Loc) -> None:
         parts = text.split()
         if len(parts) >= 3 and parts[0] == "#define":
             name, value = parts[1], parts[2]
@@ -151,124 +141,76 @@ class Lexer:
             raise LexError(f"unsupported preprocessor directive {parts[0]}",
                            start)
 
-    def _lex_number(self) -> Token:
-        # Note: every membership test guards against the empty string
-        # _peek returns at EOF ("" in "eE" is True in Python).
-        start = self.loc()
-        begin = self.pos
-        if self._peek() == "0" and self._peek(1) in ("x", "X"):
-            self._advance(2)
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                self._advance()
-            text = self.src[begin:self.pos]
-            return Token(TokenKind.INT, text, start, int(text, 16))
-        is_float = False
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in ("e", "E") and (
-                self._peek(1).isdigit()
-                or (self._peek(1) in ("+", "-")
-                    and self._peek(2).isdigit())):
-            is_float = True
-            self._advance()
-            if self._peek() in ("+", "-"):
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self.src[begin:self.pos]
-        # Integer / float suffixes are accepted and ignored.
-        while self._peek() and self._peek() in "uUlLfF":
-            self._advance()
-        if is_float:
-            return Token(TokenKind.FLOAT, text, start, float(text))
-        return Token(TokenKind.INT, text, start, int(text))
-
-    def _lex_escape(self, start: Loc) -> str:
-        self._advance()  # backslash
-        ch = self._advance()
-        if ch == "x":
-            digits = ""
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF":
-                digits += self._advance()
-            if not digits:
-                raise LexError("empty hex escape", start)
-            return chr(int(digits, 16))
-        if ch in _ESCAPES:
-            return _ESCAPES[ch]
-        raise LexError(f"unknown escape \\{ch}", start)
-
-    def _lex_string(self) -> Token:
-        start = self.loc()
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            ch = self._peek()
-            if not ch or ch == "\n":
-                raise LexError("unterminated string literal", start)
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                chars.append(self._lex_escape(start))
-            else:
-                chars.append(self._advance())
-        value = "".join(chars)
-        return Token(TokenKind.STRING, value, start, value)
-
-    def _lex_char(self) -> Token:
-        start = self.loc()
-        self._advance()  # opening quote
-        ch = self._peek()
-        if ch == "\\":
-            char = self._lex_escape(start)
-        else:
-            char = self._advance()
-        if self._peek() != "'":
-            raise LexError("unterminated character literal", start)
-        self._advance()
-        return Token(TokenKind.CHAR, char, start, ord(char))
-
-    def next_token(self) -> Token:
-        self._skip_trivia()
-        start = self.loc()
-        if self.pos >= len(self.src):
-            return Token(TokenKind.EOF, "", start)
-        ch = self._peek()
-        if ch.isdigit():
-            return self._lex_number()
-        if ch == '"':
-            return self._lex_string()
-        if ch == "'":
-            return self._lex_char()
-        if ch.isalpha() or ch == "_":
-            begin = self.pos
-            while self._peek().isalnum() or self._peek() == "_":
-                self._advance()
-            text = self.src[begin:self.pos]
-            if text in self.defines:
-                macro = self.defines[text]
-                return Token(macro.kind, macro.text, start, macro.value)
-            if text in KEYWORDS:
-                return Token(TokenKind.KEYWORD, text, start)
-            return Token(TokenKind.IDENT, text, start)
-        for punct in PUNCTUATORS:
-            if self.src.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token(TokenKind.PUNCT, punct, start)
-        raise LexError(f"unexpected character {ch!r}", start)
-
     def tokens(self) -> list[Token]:
+        src, filename, defines = self.src, self.filename, self.defines
+        match = _MASTER.match
         result: list[Token] = []
-        while True:
-            token = self.next_token()
-            result.append(token)
-            if token.kind is TokenKind.EOF:
-                return result
+        append = result.append
+        pos, end = 0, len(src)
+        line, line_start = 1, 0
+        while pos < end:
+            m = match(src, pos)
+            kind = m.lastgroup
+            text = m.group()
+            if kind == "trivia":
+                newlines = text.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = pos + text.rindex("\n") + 1
+                pos = m.end()
+                continue
+            start = Loc(filename, line, pos - line_start + 1)
+            if kind == "ident":
+                if text in defines:
+                    macro = defines[text]
+                    append(Token(macro.kind, macro.text, start, macro.value))
+                elif text in KEYWORDS:
+                    append(Token(TokenKind.KEYWORD, text, start))
+                elif text[0].isalpha() or text[0] == "_":
+                    append(Token(TokenKind.IDENT, text, start))
+                else:  # a numeric character outside 0-9, such as "½"
+                    raise LexError(f"unexpected character {text[0]!r}",
+                                   start)
+            elif kind == "punct":
+                append(Token(TokenKind.PUNCT, text, start))
+            elif kind == "number":
+                # Integer / float suffixes are accepted and ignored.
+                digits = m.group("number")
+                if m.group("frac") or m.group("exp"):
+                    append(Token(TokenKind.FLOAT, digits, start,
+                                 float(digits)))
+                else:
+                    append(Token(TokenKind.INT, digits, start, int(digits)))
+            elif kind == "hex":
+                if len(text) == 2:
+                    raise LexError(f"hex literal {text!r} has no digits",
+                                   start)
+                append(Token(TokenKind.INT, text, start, int(text, 16)))
+            elif kind == "string":
+                value = _unescape(m.group("sbody"), start)
+                if not m.group("squote"):
+                    raise LexError("unterminated string literal", start)
+                append(Token(TokenKind.STRING, value, start, value))
+            elif kind == "char":
+                char = _unescape(m.group("cbody") or "", start)
+                if not char or not m.group("cquote"):
+                    raise LexError("unterminated character literal", start)
+                append(Token(TokenKind.CHAR, char, start, ord(char)))
+                if text[1] == "\n":  # a raw newline between the quotes
+                    line += 1
+                    line_start = pos + 2
+            elif kind == "directive":
+                if pos != line_start:
+                    raise LexError("unexpected character '#'", start)
+                self._directive(text.strip(), start)
+            elif kind == "open_comment":
+                raise LexError("unterminated block comment", start)
+            else:
+                raise LexError(f"unexpected character {text!r}", start)
+            pos = m.end()
+        result.append(Token(TokenKind.EOF, "", Loc(filename, line,
+                                                   pos - line_start + 1)))
+        return result
 
 
 def tokenize(source: str, filename: str = "<input>") -> list[Token]:

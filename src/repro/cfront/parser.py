@@ -14,13 +14,14 @@ Sharing casts are written ``SCAST(type, expr)`` as in Section 2.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from repro.errors import Loc, ParseError
 from repro.cfront.lexer import Token, TokenKind, tokenize
 from repro.cfront import cast as A
 from repro.cfront.ctypes import (
-    ArrayType, FuncType, Prim, PtrType, QualType, StructType,
+    ArrayType, FuncType, Prim, PtrType, QualType, StructTable, StructType,
 )
 from repro.sharc import modes as M
 
@@ -88,24 +89,30 @@ class Parser:
 
     # -- token helpers -----------------------------------------------------
 
+    # ``pos`` never passes the closing EOF token, so the current token
+    # needs no bounds check.
+
     def peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind is not TokenKind.EOF:
             self.pos += 1
         return token
 
     def at(self, kind: TokenKind, text: str | None = None) -> bool:
-        return self.peek().is_(kind, text)
+        return self.tokens[self.pos].is_(kind, text)
 
     def at_punct(self, text: str) -> bool:
-        return self.peek().is_(TokenKind.PUNCT, text)
+        token = self.tokens[self.pos]
+        return token.kind is TokenKind.PUNCT and token.text == text
 
     def at_kw(self, text: str) -> bool:
-        return self.peek().is_(TokenKind.KEYWORD, text)
+        token = self.tokens[self.pos]
+        return token.kind is TokenKind.KEYWORD and token.text == text
 
     def accept_punct(self, text: str) -> bool:
         if self.at_punct(text):
@@ -678,16 +685,27 @@ typedef struct __barrier { int __parties; } racy barrier;
 """
 
 
+@functools.cache
+def _prelude() -> A.Program:
+    """The prelude, parsed once per process; never handed out itself."""
+    return Parser(tokenize(PRELUDE, "<prelude>"), "<prelude>").parse_program()
+
+
+def prelude_tables() -> tuple[dict[str, QualType], StructTable]:
+    """Fresh copies of the prelude's typedef and struct tables, sharing
+    no type object with the cached parse or with earlier copies."""
+    pre = _prelude()
+    return ({name: qt.clone() for name, qt in pre.typedefs.items()},
+            pre.structs.copy())
+
+
 def parse_program(source: str, filename: str = "<input>",
                   prelude: bool = True) -> A.Program:
     """Parses ``source`` (optionally prefixed by the pthread prelude)."""
     typedefs: dict[str, QualType] = {}
     structs = None
     if prelude:
-        pre = Parser(tokenize(PRELUDE, "<prelude>"), "<prelude>")
-        pre_prog = pre.parse_program()
-        typedefs = pre_prog.typedefs
-        structs = pre_prog.structs
+        typedefs, structs = prelude_tables()
     parser = Parser(tokenize(source, filename), filename,
                     typedefs=typedefs, structs=structs)
     return parser.parse_program()

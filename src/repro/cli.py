@@ -50,6 +50,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.errors import LexError, ParseError
 from repro.sharc.checker import check_source
 from repro.runtime.interp import run_checked
 
@@ -236,6 +237,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                                     lockset=not args.no_lockset,
                                     backend=args.backend,
                                     profiler=profiler)
+        except (LexError, ParseError):
+            raise  # reported by main
         except SharcError as exc:
             print(exc)
             return 1
@@ -1099,7 +1102,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, LexError, ParseError) as exc:
         print(f"sharc: error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,11 +25,12 @@ class CompileError(Exception):
 @dataclass
 class CompiledFunction:
     """One function body, closed over its static facts.  The frame
-    prologue (``CompiledInterp._push_frame`` and inlined call sites) is
-    precomputed too: parameter slots with their rc flags and the
-    rc-tracked slot offsets, both read from the memoized
+    prologue ``CompiledInterp._push_frame`` runs is precomputed too:
+    parameter slots with their rc flags and the rc-tracked slot
+    offsets, both read from the memoized
     :func:`~repro.runtime.interp.frame_layout` the tree-walker's frames
-    use, so both backends pop rc slots in the same order."""
+    (and the inlined call sites) use, so both backends pop rc slots in
+    the same order."""
 
     func: A.FuncDef
     slab_size: int
@@ -62,17 +63,20 @@ class ProgramCompiler:
         self.functions = {f.name: f for f in program.functions()}
         self.global_names = {g.name for g in program.globals()
                              if g.storage != "extern"}
+        #: each function's position in ``bodies``
+        self.body_index = {name: i for i, name in enumerate(self.functions)}
+        #: the compiled generator functions, in ``functions`` order;
+        #: direct call sites index it, and it is full before any runs
+        self.bodies: list = []
 
     def compile(self) -> CompiledProgram:
         """Codegens every defined function; a ``CompileError``
         propagates."""
         from repro.compile.codegen import FunctionCodegen
         cp = CompiledProgram()
-        #: exposed while compiling so codegen call sites can bind the
-        #: (eventually fully populated) dict for direct-call dispatch
-        self.funcs_out = cp.funcs
         for name, func in self.functions.items():
             cp.funcs[name] = FunctionCodegen(self, func).compile()
+            self.bodies.append(cp.funcs[name].body)
         return cp
 
 

@@ -82,9 +82,9 @@ from repro.runtime.interp import (
     _B_SHR,
 )
 from repro.cfront.pretty import pretty_expr
-from repro.obs.events import CAT_CHECK, CAT_SCAST
-from repro.sharc.defaults import collect_local_decls
-from repro.sharc.reports import Access, lock_not_held, oneref_failed
+from repro.obs.events import CAT_SCAST
+from repro.sharc.defaults import collect_local_decls, function_exprs
+from repro.sharc.reports import Access, oneref_failed
 from repro.compile.closures import CompileError, CompiledFunction
 
 #: the value of a register slot the activation has not touched yet
@@ -139,7 +139,7 @@ class FunctionCodegen:
         if any(qt.is_struct or qt.is_array for qt in types):
             return frozenset()
         cells = set(getattr(func, "rc_locals", ()))
-        for e in A.all_exprs(func.body):
+        for e in function_exprs(func):
             if isinstance(e, A.Unop) and e.op == "&" \
                     and isinstance(e.operand, A.Ident) \
                     and e.operand.name in self.offsets:
@@ -244,14 +244,14 @@ class FunctionCodegen:
         return (self._SLAB_ADDR.fullmatch(addr) is not None
                 or self._GLOBAL_ADDR.fullmatch(addr) is not None)
 
-    _STABLE = re.compile(r"_t\d+|-?\d+")
+    _STABLE = re.compile(r"_[tc]\d+|-?\d+")
     _INT = re.compile(r"-?\d+")
 
     def _reuse(self, v: str) -> bool:
-        """True when ``v`` is a single-assignment temp or an int
-        literal: re-consuming it later is free and cannot observe a
-        different value, so no defensive copy into a fresh temp is
-        needed."""
+        """True when ``v`` is a single-assignment temp, a constant or
+        an int literal: re-consuming it later is free and cannot
+        observe a different value, so no defensive copy into a fresh
+        temp is needed."""
         return self._STABLE.fullmatch(v) is not None
 
     def _slot(self, addr: str) -> int | None:
@@ -404,15 +404,12 @@ class FunctionCodegen:
                          is_write: bool) -> None:
         """The ``Interp._lock_check`` sequence under ``instrument``:
         the check tick, the lock expression (its l-value for a mutex
-        object, else its value), then the held test, report, history
-        and bus events.  For the common ``locked(m)`` on a global mutex
-        the lock is one ``globals_env`` lookup, flushed with the check
-        tick in one line."""
+        object, else its value), then ``Interp._lock_verdict``.  For
+        the common ``locked(m)`` on a global mutex the lock is one
+        ``globals_env`` lookup, flushed with the check tick in one
+        line."""
         la = info.lock_ast
-        lv = info.lvalue_text
-        loc = self.const(info.loc)
         self.flush()
-        ht = self.tmp()
         self.w(f"if {self.run_const('instrument')}:")
         self.indent += 1
         touched = set(self.touched)
@@ -424,23 +421,10 @@ class FunctionCodegen:
                                        or la.ctype.is_array):
             lock = self.gen_lvalue(la)
         else:
-            lock = f"int({self.gen_expr(la)})"
+            lock = self.gen_expr(la)
         self.flush()
-        self.w(f"{ht} = I.locks.holds_for_access(th.tid, "
-               f"{lock}, {is_write})")
-        self.w(f"if not {ht}:")
-        self.w(f"    _h = (I.history.provenance({at}, {size}) "
-               f"if I.history is not None else ())")
-        self.w(f"    I._report({self.const(lock_not_held)}({at}, "
-               f"{self.const(Access)}(th.tid, {lv!r}, {loc}), "
-               f"{str(info.mode)!r}, _h))")
-        self.w("if I.history is not None:")
-        self.w(f"    I.history.record({at}, {size}, th.tid, {lv!r}, "
-               f"{loc}, {is_write}, st.steps_total)")
-        self.w("if I.bus is not None:")
-        self.w(f"    I.bus.emit({self.const(CAT_CHECK)}, 'chklock', "
-               f"th.tid, dur=1, hit={ht}, lvalue={lv!r})")
-        self.w("st.accesses_locked += 1")
+        self.w(f"I._lock_verdict({self.const(info)}, {at}, {size}, th, "
+               f"{is_write}, {lock})")
         self.indent -= 1
         self.touched = touched
 
@@ -926,7 +910,9 @@ class FunctionCodegen:
 
     # -- calls -------------------------------------------------------------
 
-    def _gen_args(self, e: A.Call) -> str:
+    def _gen_args(self, e: A.Call) -> list[str]:
+        """Evaluates the arguments in order; each value is a temp, a
+        constant or an int literal, safe to name more than once."""
         vals = []
         for a in e.args:
             v = self.gen_expr(a)
@@ -936,50 +922,51 @@ class FunctionCodegen:
             t = self.tmp()
             self.w(f"{t} = {v}")
             vals.append(t)
-        return "[" + ", ".join(vals) + "]"
+        return vals
 
-    def _gen_impl_invoke(self, e: A.Call, impl_expr: str,
-                         args: str) -> str:
+    def _gen_impl_invoke(self, e: A.Call, impl_expr: str, args: str,
+                         t: str) -> str:
+        """A builtin's call tick, call and result into temp ``t``."""
+        self.tick(1)
         self.flush()
-        self.w("I._pending += 1; st.steps_total += 1")
-        t = self.tmp()
         self.w(f"{t} = {impl_expr}(I, th, {self.const(e)}, {args})")
         self.w(f"if hasattr({t}, '__next__'): "
                f"{t} = yield from {t}")
         self.w(f"if {t} is None: {t} = 0")
         return t
 
-    def _gen_user_call(self, name: str, args: str) -> str:
+    def _gen_user_call(self, name: str, args: list[str]) -> str:
         """A statically-resolved user-function call, its activation
         inlined here — same slab allocation, parameter stores, and
-        frame pop as ``CompiledInterp.call_function``, but the callee
-        body is ``yield from``-ed directly, removing one generator
-        frame from every item's resume chain.  The funcs dict is bound
-        late, so call sites see the final whole-program compile."""
+        frame pop as ``CompiledInterp.call_function``, unrolled from
+        the callee's memoized frame layout, and the callee's compiled
+        generator (``ProgramCompiler.bodies``) ``yield from``-ed
+        directly, removing one generator frame from every item's
+        resume chain."""
+        callee = self.functions[name]
+        layout = frame_layout(callee, self.structs)
         self.flush()
-        t = self.tmp()
-        self.uses_fast = True
-        cft = self.tmp()
-        frt = self.tmp()
-        slt = self.tmp()
-        self.w(f"{cft} = {self.const(self.pc.funcs_out)}[{name!r}]")
-        self.w(f"{frt} = _Frame({cft}.func, "
-               f"slab_size={cft}.slab_size)")
-        self.w(f"{slt} = {frt}.slab = "
-               f"space.alloc({cft}.slab_size, 'stack')")
-        self.w(f"{frt}.rc_slots = [{slt} + _o "
-               f"for _o in {cft}.rc_offs]")
-        self.w(f"for (_o, _rc), _v in zip({cft}.param_slots, {args}):")
-        self.w(f"    _a = {slt} + _o")
-        self.w(f"    _pt.add(_a // {PAGE_SIZE})")
-        self.w("    if _rc:")
-        self.w("        _ov = _cells.get(_a, 0)")
-        self.w(f"        _cells[_a] = _v")
-        self.w("        I._rc_write(th, _a, _ov, _v)")
-        self.w("    else:")
-        self.w(f"        _cells[_a] = _v")
+        t, frt, slt = self.tmp(), self.tmp(), self.tmp()
+        rc_slots = ", ".join(f"{slt} + {off}" for off in layout.rc_offsets)
+        self.w(f"{slt} = space.alloc({layout.size}, 'stack')")
+        self.w(f"{frt} = _Frame({self.const(callee)}, rc_slots=[{rc_slots}], "
+               f"slab={slt}, slab_size={layout.size})")
+        for (off, rc), v in zip(layout.param_slots, args):
+            self.uses_fast = True
+            addr = f"{slt} + {off}" if off else slt
+            if rc:
+                self.w(f"_a = {addr}")
+                self.w(f"_pt.add(_a // {PAGE_SIZE})")
+                self.w(f"_ov = _cells.get(_a, 0)")
+                self.w(f"_cells[_a] = {v}")
+                self.w(f"I._rc_write(th, _a, _ov, {v})")
+            else:
+                self.w(f"_pt.add({addr if not off else f'({addr})'} "
+                       f"// {PAGE_SIZE})")
+                self.w(f"_cells[{addr}] = {v}")
         self.w("try:")
-        self.w(f"    {t} = yield from {cft}.body(I, th, {frt})")
+        self.w(f"    {t} = yield from _B[{self.pc.body_index[name]}]"
+               f"(I, th, {frt})")
         self.w("finally:")
         self.w(f"    I._pop_frame(th, {frt})")
         return t
@@ -992,8 +979,9 @@ class FunctionCodegen:
             if name in self.functions:
                 return self._gen_user_call(name, args)
             if name in IMPLS:
-                return self._gen_impl_invoke(e, self.const(IMPLS[name]),
-                                             args)
+                return self._gen_impl_invoke(
+                    e, self.const(IMPLS[name]), f"[{', '.join(args)}]",
+                    self.tmp())
             self.flush()
             self.w(f"raise InterpError("
                    f"{f'call of undefined function {name!r}'!r}, "
@@ -1011,22 +999,20 @@ class FunctionCodegen:
         args = self._gen_args(e)
         self.flush()
         at = self.tmp()
-        self.w(f"{at} = {args}")
+        self.w(f"{at} = [{', '.join(args)}]")
         ft = self.tmp()
         t = self.tmp()
         self.w(f"{ft} = I.functions.get({ct})")
         self.w(f"if {ft} is not None:")
         self.w(f"    {t} = yield from I.call_function(th, {ft}, {at})")
         self.w("else:")
-        self.w(f"    {ft} = _IMPLS.get({ct})")
-        self.w(f"    if {ft} is None:")
-        self.w(f"        raise InterpError('call of undefined function "
+        self.indent += 1
+        self.w(f"{ft} = _IMPLS.get({ct})")
+        self.w(f"if {ft} is None:")
+        self.w(f"    raise InterpError('call of undefined function "
                f"%r' % ({ct},), {self.const(e.loc)})")
-        self.w("    I._pending += 1; st.steps_total += 1")
-        self.w(f"    {t} = {ft}(I, th, {self.const(e)}, {at})")
-        self.w(f"    if hasattr({t}, '__next__'): "
-               f"{t} = yield from {t}")
-        self.w(f"    if {t} is None: {t} = 0")
+        self._gen_impl_invoke(e, ft, at, t)
+        self.indent -= 1
         return t
 
     # -- statements --------------------------------------------------------
@@ -1206,10 +1192,11 @@ class FunctionCodegen:
                 unset.append(f"_r{off}")
         if unset:
             header.append(" = ".join(unset) + " = _U")
+        names = ", ".join(f"_c{i}" for i in range(len(self.consts)))
         src = "\n".join(
             ["def _make(_C, _truthy, InterpError, _IMPLS, _BRK, _CNT, "
-             "_Frame, _U):"]
-            + [f"    _c{i} = _C[{i}]" for i in range(len(self.consts))]
+             "_Frame, _U, _B):"]
+            + ([f"    {names}, = _C"] if names else [])
             + ["    def _body(I, th, fr):"]
             + ["        " + ln for ln in header]
             + ["    " + ln for ln in self.lines]
@@ -1222,7 +1209,8 @@ class FunctionCodegen:
             raise CompileError(f"codegen emitted bad source: {exc}")
         exec(code, ns)
         body = ns["_make"](tuple(self.consts), _truthy, InterpError,
-                           IMPLS, _Break, _Continue, Frame, _UNSET)
+                           IMPLS, _Break, _Continue, Frame, _UNSET,
+                           self.pc.bodies)
         return CompiledFunction(
             self.func, self.layout.size, body,
             param_slots=self.layout.param_slots,

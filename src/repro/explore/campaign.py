@@ -690,7 +690,8 @@ def run_campaign(targets: Optional[Sequence[CampaignTarget]],
             resolved[target.label] = _resolve_policies(
                 config.policies, target.source, target.filename,
                 config.checker, target.max_steps, config.max_burst,
-                target.world_factory, config.shadow_bytes)
+                target.world_factory, config.shadow_bytes,
+                config.backend)
         _write_manifest(directory, targets, config, resolved)
 
     labels = tuple(t.label for t in targets)

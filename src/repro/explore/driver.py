@@ -324,6 +324,7 @@ def _resolve_policies(policies: Sequence[str], source: str,
                       max_burst: int,
                       world_factory: Optional[Callable],
                       shadow_bytes: int = DEFAULT_SHADOW_BYTES,
+                      backend: Optional[str] = None,
                       ) -> tuple[str, ...]:
     """Pins PCT's horizon to the measured program length.
 
@@ -337,10 +338,12 @@ def _resolve_policies(policies: Sequence[str], source: str,
     horizon are left alone, and so is every spec when the program does
     not compile: each schedule then records the ``CompileError``.
 
-    The measured horizon is cached alongside ``_CHECK_CACHE``, keyed by
-    ``(source hash, checker, max_steps, max_burst, shadow_bytes)``, so
-    repeated sweeps of the same source — campaign shards above all —
-    pay the serial probe run exactly once per process.
+    The probe runs on the sweep's ``backend``.  The measured horizon is
+    cached alongside ``_CHECK_CACHE``, keyed by ``(source hash, checker,
+    max_steps, max_burst, shadow_bytes)`` — not by backend, since runs
+    are backend-invariant — so repeated sweeps of the same source,
+    campaign shards above all, pay the serial probe run exactly once
+    per process.
     """
     from repro.compile.closures import CompileError
     from repro.runtime.interp import run_checked
@@ -362,7 +365,7 @@ def _resolve_policies(policies: Sequence[str], source: str,
                                 checker=checker, max_steps=max_steps,
                                 max_burst=max_burst, world=world,
                                 shadow_bytes=shadow_bytes,
-                                record_trace=True)
+                                record_trace=True, backend=backend)
         except CompileError:
             return tuple(policies)  # every schedule records the error
         horizon = max(1, sum(n for _, n in (probe.trace or [])))
@@ -426,7 +429,8 @@ def explore_source(source: str, filename: str = "<input>", *,
     with summary.profiler.phase("resolve-policies"):
         policies = _resolve_policies(policies, source, filename,
                                      checker, max_steps, max_burst,
-                                     world_factory, shadow_bytes)
+                                     world_factory, shadow_bytes,
+                                     backend)
     summary.policies = policies
     total = seeds * len(policies)
     per = FANOUT_BATCH if jobs > 1 else 1

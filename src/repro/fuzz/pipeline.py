@@ -293,16 +293,17 @@ def fuzz_scenario(scenario: Scenario, config: FuzzConfig,
 
     The SharC sweep runs on both backends, the tree-walker being the
     reference the compiled sweep is diffed against; the Eraser sweep
-    follows the default backend."""
+    follows the default backend.  The compiled sweep runs first, so
+    the PCT horizon probe the sweeps share runs compiled."""
     common = dict(seeds=config.seeds, seed_start=config.seed_start,
                   policies=config.policies, jobs=config.jobs,
                   max_steps=config.max_steps,
                   max_burst=config.max_burst, telemetry=telemetry)
     src, fname = scenario.source, scenario.filename
-    sharc_i = explore_source(src, fname, checker="sharc",
-                             backend="interp", **common)
     sharc_c = explore_source(src, fname, checker="sharc",
                              backend="compiled", **common)
+    sharc_i = explore_source(src, fname, checker="sharc",
+                             backend="interp", **common)
     eraser = explore_source(src, fname, checker="eraser", **common)
     # the sweeps above already checked the source into the cache
     static_keys = tuple(

@@ -397,6 +397,13 @@ class Interp:
             else:
                 lock_addr = yield from self.eval_expr(
                     info.lock_ast, thread, frame)
+        self._lock_verdict(info, addr, size, thread, is_write, lock_addr)
+
+    def _lock_verdict(self, info: AccessInfo, addr: int, size: int,
+                      thread: Thread, is_write: bool, lock_addr) -> None:
+        """The held test of a ``locked`` check and all that follows it:
+        report, history and bus events, census.  Compiled bodies call it
+        too, after the check tick and the lock expression."""
         held = self.locks.holds_for_access(thread.tid,
                                            int(lock_addr), is_write)
         if not held:

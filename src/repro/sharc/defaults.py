@@ -40,9 +40,20 @@ def _is_racy_struct(qt: QualType, structs: StructTable) -> bool:
     return isinstance(base, StructType) and structs.is_racy(base.name)
 
 
-def _lock_idents(lock_text: str) -> set[str]:
+def lock_expr(program: A.Program, text: str) -> A.Expr:
+    """A fresh tree of the ``locked(text)`` lock expression.  Each
+    program parses each distinct lock string once; every call returns
+    its own copy, since typing and field substitution change the tree
+    in place.  A string that does not parse raises on every call."""
+    parsed = program.lock_exprs.get(text)
+    if parsed is None:
+        parsed = program.lock_exprs[text] = parse_expression(text)
+    return A.clone_expr(parsed)
+
+
+def _lock_idents(program: A.Program, lock_text: str) -> set[str]:
     """The identifiers mentioned by a ``locked(...)`` expression."""
-    expr = parse_expression(lock_text)
+    expr = lock_expr(program, lock_text)
     names: set[str] = set()
     for node in A.walk_expr(expr):
         if isinstance(node, A.Ident):
@@ -90,7 +101,7 @@ def apply_struct_defaults(program: A.Program) -> None:
         for _, ftype in fields:
             for pos in ftype.walk():
                 if pos.mode is not None and pos.mode.is_locked:
-                    lock_names |= _lock_idents(pos.mode.lock)
+                    lock_names |= _lock_idents(program, pos.mode.lock)
         for fname, ftype in fields:
             if ftype.mode is None:
                 if fname in lock_names:
@@ -123,10 +134,26 @@ def _decl_types_of_stmt(stmt: A.Stmt):
 
 
 def collect_local_decls(func: A.FuncDef) -> list[A.VarDecl]:
-    """All local variable declarations in a function body."""
-    if func.body is None:
-        return []
-    return list(_decl_types_of_stmt(func.body))
+    """All local variable declarations in a function body, collected
+    once and memoized on the ``FuncDef`` (no pass adds or removes a
+    declaration).  Callers must not change the list."""
+    decls = getattr(func, "sharc_locals", None)
+    if decls is None:
+        decls = ([] if func.body is None
+                 else list(_decl_types_of_stmt(func.body)))
+        func.sharc_locals = decls  # type: ignore[attr-defined]
+    return decls
+
+
+def function_exprs(func: A.FuncDef) -> list[A.Expr]:
+    """Every expression in a function body, in :func:`A.all_exprs`
+    order, collected once and memoized on the ``FuncDef`` (no pass
+    reshapes an expression tree).  Callers must not change the list."""
+    exprs = getattr(func, "sharc_exprs", None)
+    if exprs is None:
+        exprs = [] if func.body is None else list(A.all_exprs(func.body))
+        func.sharc_exprs = exprs  # type: ignore[attr-defined]
+    return exprs
 
 
 def apply_program_defaults(program: A.Program) -> None:
@@ -151,7 +178,7 @@ def apply_program_defaults(program: A.Program) -> None:
             for t in types:
                 for pos in t.walk():
                     if pos.mode is not None and pos.mode.is_locked:
-                        lock_names |= _lock_idents(pos.mode.lock)
+                        lock_names |= _lock_idents(program, pos.mode.lock)
 
     for decl in program.decls:
         if isinstance(decl, A.VarDecl):

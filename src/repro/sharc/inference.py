@@ -31,7 +31,9 @@ from repro.cfront.ctypes import (
 )
 from repro.sharc import modes as M
 from repro.sharc.constraints import ConstraintGraph, EdgeKind
-from repro.sharc.defaults import apply_program_defaults, collect_local_decls
+from repro.sharc.defaults import (
+    apply_program_defaults, collect_local_decls, function_exprs,
+)
 from repro.sharc.exprtypes import NULL_TYPE, TypeWalker
 from repro.sharc.libc import BUILTINS
 from repro.sharc.seeds import SeedInfo, compute_seeds, seed_types
@@ -206,7 +208,7 @@ def collect_scast_shapes(program: A.Program) -> set:
     shapes = set()
     for func in program.functions():
         assert func.body is not None
-        for e in A.all_exprs(func.body):
+        for e in function_exprs(func):
             if isinstance(e, A.SCastExpr) and e.to.is_pointer:
                 shapes.add(e.to.base.target.base.shape_key())
     return shapes

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from repro.cfront import cast as A
 from repro.cfront.ctypes import PtrType, QualType
 from repro.cfront.pretty import pretty_program
-from repro.sharc.defaults import collect_local_decls
+from repro.sharc.defaults import collect_local_decls, function_exprs
 from repro.sharc.inference import InferenceResult
 
 
@@ -68,7 +68,7 @@ def mark_rc_writes(program: A.Program, inference: InferenceResult,
                 rc_locals.append(pname)
                 stats.rc_locals += 1
         func.rc_locals = rc_locals  # type: ignore[attr-defined]
-        for e in A.all_exprs(func.body):
+        for e in function_exprs(func):
             if isinstance(e, A.Assign) and tracked(e.lhs.ctype):
                 e.rc_track = True  # type: ignore[attr-defined]
                 stats.rc_writes += 1
@@ -112,7 +112,7 @@ def instrumented_listing(program: A.Program) -> str:
              "// --- runtime checks ---"]
     for func in program.functions():
         assert func.body is not None
-        for e in A.all_exprs(func.body):
+        for e in function_exprs(func):
             read = getattr(e, "sharc_read", None)
             write = getattr(e, "sharc_write", None)
             if read is not None:

@@ -203,15 +203,12 @@ def builtin_type(name: str) -> QualType:
     """
     b = BUILTINS[name]
     if name not in _SIG_CACHE:
-        from repro.cfront.parser import Parser, tokenize
-        from repro.cfront.parser import PRELUDE
-        pre = Parser(tokenize(PRELUDE, "<prelude>"), "<prelude>")
-        pre.parse_program()
+        from repro.cfront.parser import Parser, prelude_tables, tokenize
+        typedefs, structs = prelude_tables()
         parser = Parser(tokenize(f"{b.sig.split('(')[0]} __b({b.sig.split('(', 1)[1]};",
                                  f"<builtin:{name}>"),
                         f"<builtin:{name}>",
-                        typedefs=pre.program.typedefs,
-                        structs=pre.program.structs)
+                        typedefs=typedefs, structs=structs)
         base = parser.parse_base_type()
         _, qtype = parser.parse_declarator(base)
         _SIG_CACHE[name] = qtype

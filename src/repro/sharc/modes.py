@@ -123,26 +123,6 @@ def locked(lock_expr: str) -> Mode:
     return Mode(ModeKind.LOCKED, lock_expr)
 
 
-def modes_equal(a: Mode, b: Mode) -> bool:
-    """Exact mode equality; ``locked`` modes compare their lock text."""
-    return a == b
-
-
-def assignable(target: Mode, source: Mode) -> bool:
-    """Whether a value whose *cell* quality is ``source`` may be stored in a
-    cell of quality ``target`` without a sharing cast, at the outermost
-    level of the assigned type.
-
-    At the outermost level the modes govern access to two *different*
-    cells, so any combination of modes is fine — except that ``readonly``
-    targets are rejected here because writability is a property of the
-    target cell itself (checked separately by the write rules).  This
-    helper exists mostly for symmetry with :func:`target_compatible`.
-    """
-    del source  # outermost assignment never constrains the source mode
-    return not target.is_readonly or True  # writability handled elsewhere
-
-
 def target_compatible(a: Mode, b: Mode) -> bool:
     """Whether two pointer *target* modes are interchangeable.
 

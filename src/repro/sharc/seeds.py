@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.cfront import cast as A
 from repro.cfront.ctypes import FuncType, PtrType, QualType
-from repro.sharc.defaults import collect_local_decls
+from repro.sharc.defaults import collect_local_decls, function_exprs
 from repro.sharc.libc import BUILTINS, is_builtin
 
 
@@ -55,26 +55,6 @@ def _local_names(func: A.FuncDef) -> set[str]:
     return names
 
 
-def functions_of_shape(program: A.Program, shape: tuple) -> list[str]:
-    """All defined functions whose type shape matches ``shape``."""
-    out = []
-    for f in program.functions():
-        if f.qtype.base.shape_key() == shape:
-            out.append(f.name)
-    return out
-
-
-def _callee_shape(callee_type: QualType) -> tuple | None:
-    base = callee_type.base
-    if isinstance(base, PtrType):
-        base = base.target.base
-    if isinstance(base, FuncType):
-        return ("func", base.ret.base.shape_key(),
-                tuple(p.base.shape_key() for p in base.params),
-                base.varargs)
-    return None
-
-
 @dataclass
 class FuncFacts:
     """Per-function syntactic facts used by the seed computation."""
@@ -95,7 +75,7 @@ def collect_func_facts(program: A.Program, func: A.FuncDef,
     locals_ = _local_names(func)
     if func.body is None:
         return facts
-    for e in A.all_exprs(func.body):
+    for e in function_exprs(func):
         if isinstance(e, A.Call):
             callee = e.callee
             if isinstance(callee, A.Ident):

@@ -36,10 +36,9 @@ from repro.cfront import cast as A
 from repro.cfront.ctypes import (
     ArrayType, FuncType, Prim, PtrType, QualType, shape_equal,
 )
-from repro.cfront.parser import parse_expression
 from repro.cfront.pretty import pretty_expr, pretty_type
 from repro.sharc import modes as M
-from repro.sharc.defaults import collect_local_decls
+from repro.sharc.defaults import function_exprs, lock_expr
 from repro.sharc.exprtypes import LValue, NULL_TYPE, TypeWalker
 from repro.sharc.libc import BUILTINS
 
@@ -115,11 +114,6 @@ class CheckStats:
                 + self.oneref_checks)
 
 
-def _stmt_subtree_exprs(stmt: A.Stmt):
-    """All expressions under one statement, pre-order."""
-    return list(A.all_exprs(stmt))
-
-
 def _target_of(qt: QualType) -> Optional[QualType]:
     if isinstance(qt.base, PtrType):
         return qt.base.target
@@ -162,7 +156,7 @@ class CheckWalker(TypeWalker):
         names: set[str] = set()
         if func.body is None:
             return names
-        for e in A.all_exprs(func.body):
+        for e in function_exprs(func):
             if isinstance(e, A.Unop) and e.op == "&" and \
                     isinstance(e.operand, A.Ident):
                 names.add(e.operand.name)
@@ -196,7 +190,7 @@ class CheckWalker(TypeWalker):
         assign_counts: dict[str, int] = {}
         if func.body is None:
             return names
-        for e in A.all_exprs(func.body):
+        for e in function_exprs(func):
             if isinstance(e, A.Assign) and isinstance(e.lhs, A.Ident):
                 assign_counts[e.lhs.name] = \
                     assign_counts.get(e.lhs.name, 0) + 1
@@ -218,7 +212,7 @@ class CheckWalker(TypeWalker):
         """Builds the evaluable lock expression for a ``locked`` access."""
         assert mode.lock is not None
         try:
-            lock = parse_expression(mode.lock)
+            lock = lock_expr(self.program, mode.lock)
         except Exception:  # well-formedness already reported it
             return None
         if lv.struct_name is not None and lv.obj_expr is not None:
@@ -610,7 +604,7 @@ class CheckWalker(TypeWalker):
                 for i, stmt in enumerate(compound.stmts):
                     if any(isinstance(e, A.SCastExpr)
                            and e.loc == cast_loc
-                           for e in _stmt_subtree_exprs(stmt)):
+                           for e in A.all_exprs(stmt)):
                         cast_idx = i
                         break
                 if cast_idx is None:
@@ -621,7 +615,7 @@ class CheckWalker(TypeWalker):
     def _scan_following(self, name: str, cast_loc: Loc,
                         stmts: list[A.Stmt]) -> None:
         for stmt in stmts:
-            for e in _stmt_subtree_exprs(stmt):
+            for e in A.all_exprs(stmt):
                 if isinstance(e, A.Assign) and \
                         isinstance(e.lhs, A.Ident) and e.lhs.name == name:
                     return  # reassigned before any read

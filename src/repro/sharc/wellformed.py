@@ -24,12 +24,12 @@ from __future__ import annotations
 from repro.errors import DiagKind, DiagnosticSink, Loc, ParseError
 from repro.cfront import cast as A
 from repro.cfront.ctypes import FuncType, PtrType, QualType
-from repro.cfront.parser import parse_expression
 from repro.sharc import modes as M
-from repro.sharc.defaults import collect_local_decls
+from repro.sharc.defaults import collect_local_decls, lock_expr
 
 
-def check_type_wellformed(qt: QualType, sink: DiagnosticSink,
+def check_type_wellformed(program: A.Program, qt: QualType,
+                          sink: DiagnosticSink,
                           where: str = "", loc: Loc | None = None) -> bool:
     """Checks REF-CTOR and lock-expression syntax throughout ``qt``.
 
@@ -42,7 +42,7 @@ def check_type_wellformed(qt: QualType, sink: DiagnosticSink,
         mode = pos.mode
         if mode is not None and mode.is_locked:
             try:
-                parse_expression(mode.lock)
+                lock_expr(program, mode.lock)
             except ParseError as exc:
                 sink.error(DiagKind.WELLFORMED,
                            f"unparseable lock expression "
@@ -82,8 +82,8 @@ def check_struct_fields(program: A.Program, sink: DiagnosticSink) -> bool:
                     decl.loc)
                 ok = False
             if not check_type_wellformed(
-                    ftype, sink, f" (field '{decl.name}.{fname}')",
-                    decl.loc):
+                    program, ftype, sink,
+                    f" (field '{decl.name}.{fname}')", decl.loc):
                 ok = False
     return ok
 
@@ -93,26 +93,26 @@ def check_program_types(program: A.Program, sink: DiagnosticSink) -> bool:
     ok = check_struct_fields(program, sink)
     for decl in program.decls:
         if isinstance(decl, A.VarDecl):
-            if not check_type_wellformed(decl.qtype, sink,
+            if not check_type_wellformed(program, decl.qtype, sink,
                                          f" (global '{decl.name}')",
                                          decl.loc):
                 ok = False
         elif isinstance(decl, A.FuncDef):
             func = decl.qtype.base
             assert isinstance(func, FuncType)
-            if not check_type_wellformed(func.ret, sink,
+            if not check_type_wellformed(program, func.ret, sink,
                                          f" (return of '{decl.name}')",
                                          decl.loc):
                 ok = False
             for name, param in zip(decl.param_names, func.params):
                 if not check_type_wellformed(
-                        param, sink,
+                        program, param, sink,
                         f" (parameter '{name}' of '{decl.name}')",
                         decl.loc):
                     ok = False
             for local in collect_local_decls(decl):
                 if not check_type_wellformed(
-                        local.qtype, sink,
+                        program, local.qtype, sink,
                         f" (local '{local.name}' in '{decl.name}')",
                         local.loc):
                     ok = False

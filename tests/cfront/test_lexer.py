@@ -1,10 +1,16 @@
 """Unit tests for the tokenizer."""
 
+import hashlib
+import pathlib
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import LexError
 from repro.cfront.lexer import Token, TokenKind, tokenize
+
+EXAMPLES = pathlib.Path(__file__).parents[2] / "examples"
 
 
 def kinds(source):
@@ -74,6 +80,24 @@ class TestNumbers:
     def test_member_access_is_not_float(self):
         # "x.y" must not lex the dot into a number.
         assert texts("x.y") == ["x", ".", "y"]
+        assert kinds("s.x") == [TokenKind.IDENT, TokenKind.PUNCT,
+                                TokenKind.IDENT]
+
+    def test_exponent_needs_digits(self):
+        assert [(t.kind, t.text) for t in tokenize("1e")[:-1]] == \
+            [(TokenKind.INT, "1"), (TokenKind.IDENT, "e")]
+        assert texts("1e+") == ["1", "e", "+"]
+
+    def test_suffixes_stay_out_of_the_text(self):
+        (tok,) = tokenize("1.5f")[:-1]
+        assert tok.kind is TokenKind.FLOAT and tok.text == "1.5"
+        # hex literals take no suffix
+        assert texts("0x10UL") == ["0x10", "UL"]
+
+    def test_hex_prefix_without_digits_raises(self):
+        with pytest.raises(LexError) as info:
+            tokenize("int g = 0x;", "g.c")
+        assert str(info.value) == "g.c:1:9: hex literal '0x' has no digits"
 
     @given(st.integers(min_value=0, max_value=2**62))
     def test_any_decimal_roundtrips(self, n):
@@ -93,6 +117,24 @@ class TestStringsAndChars:
     def test_hex_escape(self):
         (tok,) = tokenize(r'"\x41"')[:-1]
         assert tok.value == "A"
+
+    def test_hex_escape_takes_every_hex_digit(self):
+        (tok,) = tokenize(r'"\x4a\x41z"')[:-1]
+        assert tok.value == "JAz"
+        (tok,) = tokenize(r"'\x41'")[:-1]
+        assert tok.kind is TokenKind.CHAR and tok.value == 0x41
+
+    @pytest.mark.parametrize("source, message", [
+        (r'"a\x"', "empty hex escape"),
+        (r'"\q"', "unknown escape \\q"),
+        (r"'\x'", "empty hex escape"),
+        ('"\\q', "unknown escape \\q"),  # escape error before EOF
+        ("'ab'", "unterminated character literal"),
+    ])
+    def test_malformed_literal_reports_first_fault(self, source, message):
+        with pytest.raises(LexError) as info:
+            tokenize("x " + source, "f.c")
+        assert str(info.value) == f"f.c:1:3: {message}"
 
     def test_unterminated_string_raises(self):
         with pytest.raises(LexError):
@@ -160,6 +202,54 @@ class TestTrivia:
     def test_unknown_directive_raises(self):
         with pytest.raises(LexError):
             tokenize("#ifdef X\n")
+
+    def test_block_comment_across_lines_shifts_locations(self):
+        tokens = tokenize("a /* one\ntwo\n  three */ b c")
+        assert [(t.text, t.loc.line, t.loc.col) for t in tokens] == [
+            ("a", 1, 1), ("b", 3, 12), ("c", 3, 14), ("", 3, 15)]
+
+    def test_define_use_keeps_use_site_location(self):
+        tokens = tokenize("#define N 8\nint a[N];", "d.c")
+        (n,) = [t for t in tokens if t.kind is TokenKind.INT]
+        assert (n.text, n.value, str(n.loc)) == ("8", 8, "d.c:2:7")
+
+    def test_hash_outside_column_one_raises(self):
+        with pytest.raises(LexError) as info:
+            tokenize("int x; #define N 1\n", "h.c")
+        assert str(info.value) == "h.c:1:8: unexpected character '#'"
+        assert texts("  x\n#define N 1\nN") == ["x", "1"]
+
+
+def _shipped_programs():
+    """Every program the repository ships, in a fixed order."""
+    from repro.bench.workloads import all_workloads
+    from repro.cfront.parser import PRELUDE
+    from repro.fuzz.gen import generate_scenario, sample_specs
+
+    for path in sorted(EXAMPLES.glob("*.c")):
+        yield path.read_text(encoding="utf-8")
+    for workload in all_workloads():
+        yield workload.annotated_source
+        yield workload.unannotated_source
+    for spec in sample_specs(random.Random(0), 26):
+        yield generate_scenario(spec).source
+    yield PRELUDE
+
+
+def test_token_stream_of_shipped_programs_is_pinned():
+    """Kind, text, line, column and value of every token of every
+    shipped program, digested; the pin was computed with the original
+    character-loop lexer."""
+    digest = hashlib.sha256()
+    count = 0
+    for source in _shipped_programs():
+        for t in tokenize(source, "x.c"):
+            digest.update(repr((t.kind.name, t.text, t.loc.line,
+                                t.loc.col, t.value)).encode())
+            count += 1
+    assert count == 25314
+    assert digest.hexdigest() == (
+        "ac624edb8287d49a497e503ee43954d902fb7c991a823590c4b84abdb06c3ac0")
 
 
 @given(st.lists(

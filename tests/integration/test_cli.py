@@ -105,6 +105,20 @@ class TestRun:
         assert err == (f"sharc: error: cannot read {missing}: "
                        "No such file or directory\n")
 
+    @pytest.mark.parametrize("command", [
+        ["check"], ["run"], ["run", "--profile"], ["infer"], ["explore"]])
+    @pytest.mark.parametrize("text, message", [
+        ("int g = $;\n", "1:9: unexpected character '$'"),
+        ("int g = ;\n", "1:9: unexpected token ';' in expression")])
+    def test_syntax_error_is_one_error_line(self, tmp_path, command,
+                                            text, message, capsys):
+        path = tmp_path / "bad.c"
+        path.write_text(text)
+        assert main([command[0], str(path), *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"sharc: error: {path}:{message}\n"
+
 
 class TestParser:
     def test_requires_subcommand(self):

@@ -384,3 +384,28 @@ def test_compile_error_is_a_counted_crash(monkeypatch, policies):
                              policies=policies, backend="compiled")
     assert summary.as_dict()["crashed_schedules"] == 3 * len(policies)
     assert summary.crashes[0].error.startswith("CompileError:")
+
+
+def test_horizon_probe_runs_on_the_sweep_backend(monkeypatch):
+    """A tree-walker sweep measures its PCT horizon on the tree-walker:
+    a program the compiled backend rejects resolves the same
+    ``pct:3:k`` spec as one it compiles."""
+    from repro.compile.closures import CompileError
+    from repro.compile.codegen import FunctionCodegen
+    from repro.explore.driver import explore_source
+
+    def sweep(tag):
+        return explore_source(RACY + f"\n// horizon probe, {tag}\n",
+                              "probe.c", seeds=2, policies=("pct",),
+                              backend="interp")
+
+    clean = sweep("compiles")
+
+    def reject(self):
+        raise CompileError(f"planted in {self.func.name}")
+
+    monkeypatch.setattr(FunctionCodegen, "compile", reject)
+    planted = sweep("planted CompileError")
+    assert clean.policies[0].startswith("pct:3:")
+    assert planted.policies == clean.policies
+    assert planted.as_dict()["crashed_schedules"] == 0

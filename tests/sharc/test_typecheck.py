@@ -398,3 +398,52 @@ class TestReadonlyArrays:
         int main() { thread_join(thread_create(w, NULL)); return 0; }
         """)
         assert checked.check_stats.lock_checks >= 2
+
+
+class TestLockExpressions:
+    """Each distinct ``locked(...)`` string is parsed once per check;
+    every access still gets a tree of its own, since typing and
+    sibling-field substitution change the tree in place."""
+
+    SOURCE = """
+    typedef struct box { mutex *mut; int locked(mut) v; } box_t;
+    mutex mut;
+    int locked(mut) g;
+    void *w(void *d) {
+      box_t *S = d;
+      mutexLock(&mut); g = g + 1; mutexUnlock(&mut);
+      mutexLock(S->mut); S->v = S->v + 1; mutexUnlock(S->mut);
+      mutexLock(&mut); g = 2; mutexUnlock(&mut);
+      return NULL;
+    }
+    int main() {
+      box_t *b = malloc(sizeof(box_t));
+      thread_create(w, b);
+      return 0;
+    }
+    """
+
+    def test_same_text_resolves_per_access(self):
+        from repro.cfront import cast as A
+        from repro.cfront.pretty import pretty_expr
+
+        checked = check_ok(self.SOURCE)
+        w = checked.program.function("w")
+        locks = [(info.lvalue_text, info.lock_ast)
+                 for e in A.all_exprs(w.body)
+                 for info in (getattr(e, "sharc_read", None),
+                              getattr(e, "sharc_write", None))
+                 if info is not None and info.is_lock]
+        assert [(text, pretty_expr(lock)) for text, lock in locks] == [
+            ("g", "mut"), ("g", "mut"), ("S->v", "S->mut"),
+            ("S->v", "S->mut"), ("g", "mut")]
+        program = checked.program
+        (mut,) = [g for g in program.globals() if g.name == "mut"]
+        field = dict(program.structs.fields("box"))["mut"]
+        assert [lock.ctype for _, lock in locks] == [
+            mut.qtype, mut.qtype, field, field, mut.qtype]
+        # no two accesses share a node of their lock trees
+        nodes = [id(n) for _, lock in locks for n in A.walk_expr(lock)
+                 if not isinstance(n, A.Ident) or n.name == "mut"]
+        assert len(nodes) == len(set(nodes))
+        assert set(checked.program.lock_exprs) == {"mut"}
