@@ -141,9 +141,9 @@ def main(argv: Optional[list[str]] = None) -> int:
                              f"(default: {' '.join(DEFAULT_WORKLOADS)})")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the per-workload seeds")
-    parser.add_argument("--no-checkelim", action="store_true",
-                        help="ablation: run with the static check "
-                             "eliminator disabled")
+    parser.add_argument("--no-static", action="store_true",
+                        help="ablation: run with both static discharge "
+                             "tiers disabled")
     parser.add_argument("--backend", default="both",
                         choices=("interp", "compiled", "both"),
                         help="executor(s) to time (default both, which "
@@ -165,14 +165,14 @@ def main(argv: Optional[list[str]] = None) -> int:
               file=sys.stderr)
         return 2
 
-    checkelim = not args.no_checkelim
+    static = not args.no_static
     try:
         results = bench_workloads(args.workloads or None, seed=args.seed,
-                                  checkelim=checkelim, backend=args.backend)
+                                  static=static, backend=args.backend)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    current = bench_payload(results, seed=args.seed, checkelim=checkelim)
+    current = bench_payload(results, seed=args.seed, static=static)
     problems = validate_payload(current)
     if problems:
         print("error: invalid canary payload:\n  "

@@ -198,12 +198,11 @@ def check_workload(workload: Workload,
 def run_workload(workload: Workload, *, seed: Optional[int] = None,
                  annotated: bool = True,
                  rc_scheme: str = "lp",
-                 checkelim: bool = True,
-                 lockset: bool = True,
+                 static: bool = True,
                  backend: Optional[str] = None) -> BenchResult:
     """Runs baseline + SharC and returns the measured row.
-    ``checkelim=False`` ablates the static check eliminator and
-    ``lockset=False`` the locked(l) refinement in the instrumented run (steps and reports are identical either way; only
+    ``static=False`` ablates both static discharge tiers in the
+    instrumented run (steps and reports are identical either way; only
     wall time and the check-mix counters move).  ``backend`` picks the
     executor for both runs (steps and reports are backend-invariant as
     well)."""
@@ -221,7 +220,7 @@ def run_workload(workload: Workload, *, seed: Optional[int] = None,
                         world=workload.world_factory(),
                         instrument=True, rc_scheme=rc_scheme,
                         policy=workload.policy,
-                        checkelim=checkelim, lockset=lockset,
+                        static=static,
                         max_steps=workload.max_steps, backend=backend)
     for result, label in ((base, "baseline"), (sharc, "sharc")):
         if result.error or result.deadlock or result.timeout:

@@ -11,8 +11,7 @@ PRs.  It writes ``BENCH_interp.json``:
     {
       "schema": "sharc-bench-interp/6",
       "seed": null,
-      "checkelim": true,
-      "lockset": true,
+      "static": true,
       "backend": "both",
       "workloads": {
         "pfscan": {
@@ -85,8 +84,7 @@ _BACKEND_CHOICES = ("interp", "compiled", "both")
 
 def bench_workloads(names: Optional[list[str]] = None, *,
                     seed: Optional[int] = None,
-                    checkelim: bool = True,
-                    lockset: bool = True,
+                    static: bool = True,
                     backend: Optional[str] = None) -> list[BenchResult]:
     """Runs the requested workloads (all six by default).
 
@@ -109,15 +107,14 @@ def bench_workloads(names: Optional[list[str]] = None, *,
                 f"available: {', '.join(sorted(by_name))}")
         selected = [by_name[n] for n in names]
     if backend != "both":
-        return [run_workload(w, seed=seed, checkelim=checkelim,
-                             lockset=lockset, backend=backend)
+        return [run_workload(w, seed=seed, static=static, backend=backend)
                 for w in selected]
     results = []
     for w in selected:
-        interp = run_workload(w, seed=seed, checkelim=checkelim,
-                              lockset=lockset, backend="interp")
-        compiled = run_workload(w, seed=seed, checkelim=checkelim,
-                                lockset=lockset, backend="compiled")
+        interp = run_workload(w, seed=seed, static=static,
+                              backend="interp")
+        compiled = run_workload(w, seed=seed, static=static,
+                                backend="compiled")
         if (compiled.sharc_steps != interp.sharc_steps
                 or compiled.reports != interp.reports):
             raise AssertionError(
@@ -132,8 +129,7 @@ def bench_workloads(names: Optional[list[str]] = None, *,
 
 def bench_payload(results: list[BenchResult],
                   seed: Optional[int] = None,
-                  checkelim: bool = True,
-                  lockset: bool = True) -> dict:
+                  static: bool = True) -> dict:
     total_steps = sum(r.sharc_steps for r in results)
     total_wall = sum(r.wall_seconds for r in results)
     overheads = [r.time_overhead for r in results]
@@ -143,8 +139,7 @@ def bench_payload(results: list[BenchResult],
     return {
         "schema": SCHEMA,
         "seed": seed,
-        "checkelim": checkelim,
-        "lockset": lockset,
+        "static": static,
         "backend": backends.pop() if len(backends) == 1 else "mixed",
         "workloads": {r.workload: r.bench_entry() for r in results},
         "summary": {
@@ -307,12 +302,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                              "'-' to skip writing)")
     parser.add_argument("--workloads", nargs="*", default=None,
                         help="subset of workload names (default: all)")
-    parser.add_argument("--no-checkelim", action="store_true",
-                        help="ablation: run with the static check "
-                             "eliminator disabled")
-    parser.add_argument("--no-lockset", action="store_true",
-                        help="ablation: run with the locked(l) lockset "
-                             "refinement disabled")
+    parser.add_argument("--no-static", action="store_true",
+                        help="ablation: run with both static discharge "
+                             "tiers (check elimination, locked(l) "
+                             "refinement) disabled")
     parser.add_argument("--backend", default="both",
                         choices=_BACKEND_CHOICES,
                         help="executor(s) to time: 'both' (default) "
@@ -343,17 +336,14 @@ def main(argv: Optional[list[str]] = None) -> int:
                   file=sys.stderr)
             return 2
 
-    checkelim = not args.no_checkelim
-    lockset = not args.no_lockset
+    static = not args.no_static
     try:
         results = bench_workloads(args.workloads, seed=args.seed,
-                                  checkelim=checkelim, lockset=lockset,
-                                  backend=args.backend)
+                                  static=static, backend=args.backend)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    payload = bench_payload(results, seed=args.seed, checkelim=checkelim,
-                            lockset=lockset)
+    payload = bench_payload(results, seed=args.seed, static=static)
     problems = validate_payload(payload)
     if problems:
         print("error: invalid benchmark payload:\n  "

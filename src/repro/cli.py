@@ -233,8 +233,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                                     rc_scheme="lp" if args.rc == "off"
                                     else args.rc,
                                     max_steps=args.max_steps,
-                                    checkelim=not args.no_checkelim,
-                                    lockset=not args.no_lockset,
+                                    static=not args.no_static,
                                     backend=args.backend,
                                     profiler=profiler)
         except (LexError, ParseError):
@@ -252,8 +251,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                          rc_scheme=args.rc,
                          checker=getattr(args, "checker", "sharc"),
                          max_steps=args.max_steps,
-                         checkelim=not args.no_checkelim,
-                         lockset=not args.no_lockset,
+                         static=not args.no_static,
                          trace=trace_config, backend=args.backend)
     if result.output:
         print(result.output, end="")
@@ -291,10 +289,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         argv += ["--out", args.out]
     if args.workloads:
         argv += ["--workloads", *args.workloads]
-    if args.no_checkelim:
-        argv.append("--no-checkelim")
-    if args.no_lockset:
-        argv.append("--no-lockset")
+    if args.no_static:
+        argv.append("--no-static")
     if args.compare is not None:
         argv += ["--compare", args.compare,
                  "--compare-threshold", str(args.compare_threshold),
@@ -831,11 +827,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", action="store_true",
                    help="time each pipeline phase, run an uninstrumented "
                         "baseline too, and report steps/sec")
-    p.add_argument("--no-checkelim", action="store_true",
-                   help="ablation: disable the static check eliminator "
-                        "(identical reports/steps, more full checks)")
-    p.add_argument("--no-lockset", action="store_true",
-                   help="ablation: disable the locked(l) lockset "
+    p.add_argument("--no-static", action="store_true",
+                   help="ablation: disable both static discharge tiers, "
+                        "check elimination and the locked(l) lockset "
                         "refinement (identical reports/steps, more "
                         "shadow walks)")
     p.add_argument("--trace-out", default=None, metavar="FILE",
@@ -859,11 +853,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
     p.add_argument("--workloads", nargs="*", default=None)
-    p.add_argument("--no-checkelim", action="store_true",
-                   help="ablation: disable the static check eliminator")
-    p.add_argument("--no-lockset", action="store_true",
-                   help="ablation: disable the locked(l) lockset "
-                        "refinement")
+    p.add_argument("--no-static", action="store_true",
+                   help="ablation: disable both static discharge tiers")
     p.add_argument("--compare", default=None, metavar="OLD.json",
                    help="diff against a previous BENCH_interp.json "
                         "(schema /1 through /5); exit 3 on regression")

@@ -116,10 +116,15 @@ class InterpError(SharcError):
 
 
 class DiagnosticSink:
-    """Accumulates diagnostics for one run of the pipeline."""
+    """Accumulates diagnostics for one run of the pipeline.
+
+    Each diagnostic is recorded once: inference and type checking walk
+    the same bodies, and well-formedness runs before and after solving,
+    so the same finding can be emitted twice."""
 
     def __init__(self) -> None:
         self.diagnostics: list[Diagnostic] = []
+        self._seen: dict[tuple, Diagnostic] = {}
 
     def emit(
         self,
@@ -129,8 +134,16 @@ class DiagnosticSink:
         severity: Severity = Severity.ERROR,
         notes: list[str] | None = None,
     ) -> Diagnostic:
-        diag = Diagnostic(kind, message, loc or Loc.unknown(), severity,
-                          list(notes or []))
+        loc = loc or Loc.unknown()
+        notes = list(notes or [])
+        key = (kind, message, loc, severity, tuple(notes))
+        seen = self._seen.get(key)
+        # A diagnostic whose notes grew after its emit is no longer
+        # identical to a fresh one.
+        if seen is not None and seen.notes == notes:
+            return seen
+        diag = Diagnostic(kind, message, loc, severity, notes)
+        self._seen[key] = diag
         self.diagnostics.append(diag)
         return diag
 

@@ -24,6 +24,7 @@ from :class:`repro.runtime.stats.RunStats` as everywhere else.
 from __future__ import annotations
 
 import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -231,13 +232,36 @@ class ExplorationSummary:
 # (source hash, filename) amortizes that across the batches each worker
 # handles.
 
-_CHECK_CACHE: dict = {}
+#: entries each per-process cache below keeps, least recently used
+#: evicted first: above the largest shipped campaign (12 targets, both
+#: variants of the six Table 1 models), so its shards keep hitting,
+#: while a long fuzz run of fresh programs stays flat in memory
+CACHE_ENTRIES = 32
+
+
+class _LRU(OrderedDict):
+    """A cache bounded to :data:`CACHE_ENTRIES` entries."""
+
+    def get(self, key, default=None):
+        if key not in self:
+            return default
+        self.move_to_end(key)
+        return self[key]
+
+    def __setitem__(self, key, value) -> None:
+        super().__setitem__(key, value)
+        self.move_to_end(key)
+        if len(self) > CACHE_ENTRIES:
+            self.popitem(last=False)
+
+
+_CHECK_CACHE = _LRU()
 
 #: measured serial-run horizons, keyed by
 #: ``(source hash, checker, max_steps, max_burst, shadow_bytes)`` —
 #: campaign shards and repeated sweeps of the same source reuse the one
 #: probe run instead of each paying it (see :func:`_resolve_policies`)
-_HORIZON_CACHE: dict = {}
+_HORIZON_CACHE = _LRU()
 
 
 def _source_hash(source: str) -> str:
@@ -271,16 +295,15 @@ def run_schedule(source: str, filename: str, seed: int, policy: str,
                  max_burst: int = 8,
                  world_factory: Optional[Callable] = None,
                  shadow_bytes: int = DEFAULT_SHADOW_BYTES,
-                 checkelim: bool = True,
-                 lockset: bool = True,
+                 static: bool = True,
                  backend: Optional[str] = None,
                  collect_sites: bool = True,
                  ) -> ScheduleOutcome:
     """Executes one (seed, policy) schedule and reduces it to an
-    outcome.  ``checkelim=False`` ablates the static check eliminator
-    and ``lockset=False`` the locked(l) lockset refinement — every
-    outcome field is guaranteed identical any way (the soundness
-    gates of both passes), so sweeps default to both on.  ``backend``
+    outcome.  ``static=False`` ablates both static discharge tiers
+    (check elimination and the locked(l) lockset refinement) — every
+    outcome field is guaranteed identical either way (the identity
+    gate), so sweeps default to on.  ``backend``
     picks the executor; outcomes are backend-invariant by the same
     guarantee (bit-identical steps, reports, and traces by seed).
 
@@ -296,7 +319,7 @@ def run_schedule(source: str, filename: str, seed: int, policy: str,
                          checker=checker, max_steps=max_steps,
                          max_burst=max_burst, world=world,
                          shadow_bytes=shadow_bytes,
-                         checkelim=checkelim, lockset=lockset,
+                         static=static,
                          record_trace=True, backend=backend)
     trace = result.trace or []
     return ScheduleOutcome(

@@ -9,7 +9,7 @@ tree-walker fetches the same closure through :func:`dynamic_check`,
 which builds it once per ``(size, is_write)`` and keeps it on the
 AccessInfo.  Like the compile artifact, a closure holds only static
 facts: every piece of execution state (shadow memory, stats, the
-ablation switches) comes in through ``I``.
+``static`` switch) comes in through ``I``.
 
 A check takes the first branch that applies:
 
@@ -20,10 +20,12 @@ A check takes the first branch that applies:
    ``recheck_locked``;
 4. *range* or *full* — the shadow walk itself.
 
-The discharge branches replay exactly the fast path the walk would have
-taken, so costs, history, traces and reports are byte-identical with
-any static tier switched off.  Each branch lands in the per-site
-counters (:mod:`repro.obs.sitestats` layout) — pure observation.
+Branches 2, 3 and the range walk consume the static tiers' marks only
+while ``I.static`` is on.  The discharge branches replay exactly the
+fast path the walk would have taken, so costs, history, traces and
+reports are byte-identical with ``static`` off.  Each branch lands in
+the per-site counters (:mod:`repro.obs.sitestats` layout) — pure
+observation.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from repro.sharc.reports import Access, read_conflict, write_conflict
 def make_dynamic_check(info, size: int, is_write: bool):
     """The check closure ``check(I, th, addr)`` of one site."""
     elide = info.elide
-    refined = info.lockset_refined
     rlock = info.refined_lock
     range_walk = info.range_walk
     lvtext = info.lvalue_text
@@ -66,12 +67,12 @@ def make_dynamic_check(info, size: int, is_write: bool):
                                  stats.steps_total)
             return
         shadow = I.shadow
-        if elide and I.checkelim \
+        if elide and I.static \
                 and shadow.recheck(addr, size, tid, is_write):
             stats.checks_elided += 1
             site[I_ELIDED] += 1
             discharged = "elided"
-        elif refined and I.lockset \
+        elif rlock is not None and I.static \
                 and I.locks.holds_for_access(
                     tid, I.globals_env.get(rlock, -1), is_write) \
                 and shadow.recheck_locked(addr, size, tid, is_write,
@@ -94,7 +95,7 @@ def make_dynamic_check(info, size: int, is_write: bool):
                            conflict=False, **{discharged: True},
                            lvalue=lvtext)
             return
-        if range_walk and I.checkelim:
+        if range_walk and I.static:
             chk = shadow.chkwrite_range if is_write else shadow.chkread_range
             stats.checks_range += 1
             site[I_RANGE] += 1

@@ -17,6 +17,9 @@ under a seeded scheduler and performs those checks:
 
 Running with ``instrument=False`` executes the same program with every
 check skipped and RC off — the baseline for the time-overhead metric.
+Running with ``static=False`` ignores the marks of both static
+discharge tiers (:mod:`repro.runtime.dyncheck`), so every dynamic check
+takes the shadow walk; steps, reports and schedules are identical.
 
 Threads are Python generators yielding accumulated step costs (or
 ``("block", predicate, note)``); the scheduler interleaves them
@@ -247,24 +250,20 @@ class Interp:
                  rc_scheme: str = "lp", instrument: bool = True,
                  shadow_bytes: int = 1, max_burst: int = 8,
                  checker: str = "sharc",
-                 checkelim: bool = True,
-                 lockset: bool = True,
+                 static: bool = True,
                  record_trace: bool = False,
                  trace: Optional[TraceConfig] = None) -> None:
         self.checked = checked
         self.program = checked.program
         self.structs = self.program.structs
         self.instrument = instrument
-        #: consume the static check-elimination marks
-        #: (repro.sharc.checkelim)?  Off = the ablation baseline; the
-        #: soundness gate guarantees both settings are bit-identical in
-        #: reports, steps, and scheduler RNG.
-        self.checkelim = checkelim
-        #: consume the static lockset refinement marks
-        #: (repro.sharc.lockset)?  Same ablation contract as checkelim:
-        #: ``--no-lockset`` is bit-identical in reports, steps, and
-        #: scheduler RNG.
-        self.lockset = lockset
+        #: consume the static discharge marks — check elimination's
+        #: ``elide``/``range_walk`` (repro.sharc.checkelim) and the
+        #: lockset refinement's ``refined_lock`` (repro.sharc.lockset)?
+        #: Off = the ablation baseline (``--no-static``); the identity
+        #: gate guarantees both settings are bit-identical in reports,
+        #: steps, and scheduler RNG.
+        self.static = static
         #: "sharc" (mode-targeted checks) or "eraser" (the lockset
         #: baseline of Section 6.2: every access monitored)
         self.eraser = None
@@ -1427,8 +1426,7 @@ def run_checked(checked: CheckedProgram, *, seed: int = 0,
                 shadow_bytes: int = 1, max_burst: int = 8,
                 max_steps: int = 2_000_000,
                 checker: str = "sharc",
-                checkelim: bool = True,
-                lockset: bool = True,
+                static: bool = True,
                 record_trace: bool = False,
                 trace: Optional[TraceConfig] = None,
                 backend: Optional[str] = None) -> RunResult:
@@ -1436,8 +1434,8 @@ def run_checked(checked: CheckedProgram, *, seed: int = 0,
     spec string (``"random"``, ``"pct:4"``, ...) or a
     :class:`~repro.runtime.scheduler.SchedulingPolicy` instance.
     ``trace`` enables structured event tracing (:mod:`repro.obs`);
-    ``checkelim=False`` ablates the static check eliminator and
-    ``lockset=False`` the locked(l) qualifier refinement.  ``backend``
+    ``static=False`` ablates both static discharge tiers (check
+    elimination and the locked(l) lockset refinement).  ``backend``
     selects the executor: ``"interp"`` (the tree-walker) or
     ``"compiled"`` (:mod:`repro.compile`), which runs
     the same program bit-identically — same steps, reports, and
@@ -1447,7 +1445,7 @@ def run_checked(checked: CheckedProgram, *, seed: int = 0,
                          policy=policy, rc_scheme=rc_scheme,
                          instrument=instrument, shadow_bytes=shadow_bytes,
                          max_burst=max_burst, checker=checker,
-                         checkelim=checkelim, lockset=lockset,
+                         static=static,
                          record_trace=record_trace, trace=trace)
     result = interp.run(max_steps=max_steps)
     if record_trace:

@@ -147,17 +147,15 @@ class ProfileReport:
 
 def profile_source(source: str, filename: str = "<input>", *,
                    seed: int = 0, rc_scheme: str = "lp",
-                   max_steps: int = 2_000_000, checkelim: bool = True,
-                   lockset: bool = True,
+                   max_steps: int = 2_000_000, static: bool = True,
                    backend: Optional[str] = None,
                    profiler: Optional[Profiler] = None) -> ProfileReport:
     """Profiles the full pipeline over one program: static phases, a
     baseline (uninstrumented) run, and the instrumented run.
 
-    ``checkelim=False`` ablates the static check eliminator and
-    ``lockset=False`` the locked(l) refinement in the instrumented run
-    (reports and step counts are identical either way; only check costs
-    move)."""
+    ``static=False`` ablates both static discharge tiers in the
+    instrumented run (reports and step counts are identical either way;
+    only check costs move)."""
     from repro.errors import SharcError
     from repro.sharc.checker import check_source
     from repro.runtime.interp import run_checked
@@ -182,8 +180,7 @@ def profile_source(source: str, filename: str = "<input>", *,
     report.base_wall = base.stats.wall_seconds
     with prof.phase("instrumented"):
         sharc = run_checked(checked, seed=seed, rc_scheme=rc_scheme,
-                            max_steps=max_steps, checkelim=checkelim,
-                            lockset=lockset,
+                            max_steps=max_steps, static=static,
                             backend=backend)
     report.sharc_steps = sharc.stats.steps_total
     report.sharc_wall = sharc.stats.wall_seconds

@@ -1,24 +1,22 @@
 """Static check elimination: discharge dynamic checks before they run.
 
-PR 1 made each ``chkread``/``chkwrite`` cheaper; this pass makes them
-*rarer*, the standard next lever of lightweight static race analyses
+Each ``chkread``/``chkwrite`` costs a shadow walk; this pass makes
+them *rarer*, the standard lever of lightweight static race analyses
 (RacerF; Miné's static analysis of embedded parallel C).  Two
-transformations, both driven by an evaluation-order dataflow walk that
-mirrors the interpreter:
+transformations, both driven by the evaluation-order walk it shares
+with the lockset refinement (:class:`repro.sharc.evalwalk.EvalWalker`):
 
 - **Redundant-check elimination** (``AccessInfo.elide`` /
   ``node.sharc_check_elided``): a check is marked when a previous check
   of the same lvalue, at least as strong (a write check covers a later
   read check), reaches it on every path with no intervening *yield
-  point* — calls (which may spawn, lock, or run library summaries),
-  sharing casts (which reset granule bitmaps), and loop boundaries are
-  the kill points.  Loop bodies are walked twice so covers carried
-  around the back-edge (``h[i]`` in a scan loop covering itself) are
-  found.  ``continue`` edges re-enter the head too, so the back-edge
-  state is the meet of the end-of-body state with the state at every
-  continue point — a cover killed on a continue path (say by a call
-  before the ``continue``) must not carry around the loop just because
-  the body tail re-established it.
+  point* — calls (which may spawn, lock, or run library summaries) and
+  sharing casts (which reset granule bitmaps) are the kill points.
+  Loop bodies are walked twice so covers carried around the back-edge
+  (``h[i]`` in a scan loop covering itself) are found; the back-edge
+  state is met with every ``continue`` point and the post-loop state
+  with every ``break`` point, so a cover survives a loop only if it
+  holds on every path that leaves it.
 
 - **Range-walk marking** (``AccessInfo.range_walk`` /
   ``node.sharc_range_check``): an indexed access inside a call-free
@@ -34,11 +32,11 @@ elision could change which conflicts are observed.  Instead every
 exact cache-hit prefix of the full check — so an elided check either
 replays precisely the fast path the full check would have taken (same
 cost, same counters, no conflict possible) or falls back to the full
-check.  Elimination on and off are therefore bit-identical in reports,
-step counts, and scheduler RNG; the marks only decide how often the
-cheap guard gets to answer first.  The pass can accordingly mark
-aggressively: a wrong (never-hitting) mark costs one predicate test,
-not a missed race.
+check.  Runs with the interpreter's ``static`` switch on and off are
+therefore bit-identical in reports, step counts, and scheduler RNG;
+the marks only decide how often the cheap guard gets to answer
+first.  The pass can accordingly mark aggressively: a wrong
+(never-hitting) mark costs one predicate test, not a missed race.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cfront import cast as A
-from repro.sharc.typecheck import AccessInfo
+from repro.sharc.evalwalk import EvalWalker
 
 #: cover strength: a read check proves the thread's read bit is set, a
 #: write check proves exclusive ownership (which covers later reads too)
@@ -82,15 +80,25 @@ def mark_elisions(program: A.Program) -> ElimStats:
     walker = _Walker(stats)
     for func in program.functions():
         if func.body is not None:
-            walker.stmt(func.body, {})
+            walker.stmt(func.body, _Covers())
     return stats
 
 
-def _meet(a: dict, b: dict) -> dict:
-    """Path join: a cover survives only at the weaker of its strengths
-    on the two paths (absent = strength 0 = dropped)."""
-    return {key: min(strength, b.get(key, 0))
-            for key, strength in a.items() if b.get(key, 0)}
+class _Covers(dict):
+    """``lvalue text -> cover strength``."""
+
+    def copy(self) -> "_Covers":
+        return _Covers(self)
+
+    def meet(self, other: dict) -> None:
+        """Path join: a cover survives only at the weaker of its
+        strengths on the two paths (absent = strength 0 = dropped)."""
+        for key, strength in list(self.items()):
+            theirs = other.get(key, 0)
+            if not theirs:
+                del self[key]
+            elif theirs < strength:
+                self[key] = theirs
 
 
 def _idents(e: A.Expr) -> set:
@@ -98,44 +106,20 @@ def _idents(e: A.Expr) -> set:
             if sub.__class__ is A.Ident}
 
 
-def _has_break(s) -> bool:
-    """Does this loop body break out of *this* loop?  (Breaks inside
-    nested loops exit those, not this one.)"""
-    cls = s.__class__
-    if cls is A.Break:
-        return True
-    if cls in (A.While, A.DoWhile, A.For):
-        return False
-    if cls is A.Compound:
-        return any(_has_break(sub) for sub in s.stmts)
-    if cls is A.If:
-        if _has_break(s.then):
-            return True
-        return s.other is not None and _has_break(s.other)
-    return False
-
-
-class _Walker:
-    """Evaluation-order walk mirroring ``Interp.eval_expr`` /
-    ``Interp.exec_stmt``.  The state is ``lvalue text -> cover
-    strength``; it is mutated in place and copied at branches."""
+class _Walker(EvalWalker):
+    """Cover marking over the shared evaluation-order walk.  Calls (which
+    may spawn, lock, run a library read/write summary, or touch the
+    shadow version) and sharing casts (which reset the object's granule
+    bitmaps) are yield points that clear every cover."""
 
     def __init__(self, stats: ElimStats) -> None:
+        super().__init__()
         self.stats = stats
-        #: per enclosing loop, the cover states snapshot at each
-        #: ``continue`` — the loop head is re-entered from every one of
-        #: them, so the back-edge state is their meet with the
-        #: end-of-body state
-        self._continues: list[list[dict]] = []
-
-    # -- marking -------------------------------------------------------------
 
     def check(self, node: A.Expr, info, is_write: bool,
-              st: dict) -> None:
+              st: _Covers) -> None:
         """One runtime check firing at ``node``: mark it elidable if a
         covering check reaches it, then record its own cover."""
-        if info is None or not info.is_dynamic:
-            return
         need = _WRITE if is_write else _READ
         key = info.lvalue_text
         if st.get(key, 0) >= need:
@@ -146,244 +130,16 @@ class _Walker:
                     self.stats.elided_writes += 1
                 else:
                     self.stats.elided_reads += 1
-        if st.get(key, 0) < need:
+        else:
             st[key] = need
 
-    # -- expressions ---------------------------------------------------------
-
-    def lvalue(self, e: A.Expr, st: dict) -> None:
-        """Address computation only: the reads embedded in the address
-        expression fire, the node's own access check does not."""
-        cls = e.__class__
-        if cls is A.Ident:
-            return
-        if cls is A.Unop and e.op == "*":
-            self.expr(e.operand, st)
-            return
-        if cls is A.Member:
-            if e.arrow:
-                self.expr(e.obj, st)
-            else:
-                self.lvalue(e.obj, st)
-            return
-        if cls is A.Index:
-            if getattr(e, "sharc_on_array", False):
-                self.lvalue(e.arr, st)
-            else:
-                self.expr(e.arr, st)
-            self.expr(e.idx, st)
-            return
-
-    def expr(self, e, st: dict) -> None:
-        if e is None:
-            return
-        cls = e.__class__
-        if cls is A.Ident:
-            self.check(e, getattr(e, "sharc_read", None), False, st)
-            return
-        if cls in (A.IntLit, A.CharLit, A.FloatLit, A.NullLit,
-                   A.StrLit, A.SizeofExpr):
-            # sizeof's operand is never evaluated at runtime.
-            return
-        if cls in (A.Member, A.Index):
-            self.lvalue(e, st)
-            self.check(e, getattr(e, "sharc_read", None), False, st)
-            return
-        if cls is A.Unop:
-            if e.op == "&":
-                self.lvalue(e.operand, st)
-                return
-            if e.op == "*":
-                self.expr(e.operand, st)
-                self.check(e, getattr(e, "sharc_read", None), False, st)
-                return
-            if e.op in ("++", "--"):
-                op = e.operand
-                self.lvalue(op, st)
-                self.check(op, getattr(op, "sharc_read", None), False, st)
-                self.check(op, getattr(op, "sharc_write", None), True, st)
-                return
-            self.expr(e.operand, st)
-            return
-        if cls is A.Binop:
-            if e.op in ("&&", "||"):
-                self.expr(e.lhs, st)
-                branch = dict(st)
-                self.expr(e.rhs, branch)
-                met = _meet(st, branch)
-                st.clear()
-                st.update(met)
-                return
-            self.expr(e.lhs, st)
-            self.expr(e.rhs, st)
-            return
-        if cls is A.Assign:
-            lhs = e.lhs
-            lhs_qt = lhs.ctype
-            if e.op == "=" and lhs_qt is not None and lhs_qt.is_struct:
-                self.lvalue(e.rhs, st)
-                self.lvalue(lhs, st)
-                self.check(lhs, getattr(lhs, "sharc_write", None),
-                           True, st)
-                self.check(e.rhs, getattr(e.rhs, "sharc_read", None),
-                           False, st)
-                return
-            self.expr(e.rhs, st)
-            self.lvalue(lhs, st)
-            if e.op != "=":
-                self.check(lhs, getattr(lhs, "sharc_read", None),
-                           False, st)
-            self.check(lhs, getattr(lhs, "sharc_write", None), True, st)
-            return
-        if cls is A.Call:
-            if e.callee.__class__ is not A.Ident:
-                self.expr(e.callee, st)
-            for arg in e.args:
-                self.expr(arg, st)
-            # Yield point: the callee may spawn, lock, run a library
-            # read/write summary, or touch the shadow version.
-            st.clear()
-            return
-        if cls is A.SCastExpr:
-            self.lvalue(e.expr, st)
-            self.check(e.expr, getattr(e.expr, "sharc_read", None),
-                       False, st)
-            self.check(e, getattr(e, "sharc_src_write", None), True, st)
-            # scast resets the object's granule bitmaps.
-            st.clear()
-            return
-        if cls is A.CastExpr:
-            self.expr(e.expr, st)
-            return
-        if cls is A.CondExpr:
-            self.expr(e.cond, st)
-            then_st = dict(st)
-            self.expr(e.then, then_st)
-            other_st = dict(st)
-            self.expr(e.other, other_st)
-            met = _meet(then_st, other_st)
-            st.clear()
-            st.update(met)
-            return
-        if cls is A.CommaExpr:
-            for part in e.parts:
-                self.expr(part, st)
-            return
-
-    # -- statements ----------------------------------------------------------
-
-    def stmt(self, s, st: dict) -> None:
-        if s is None:
-            return
-        cls = s.__class__
-        if cls is A.Compound:
-            for sub in s.stmts:
-                self.stmt(sub, st)
-            return
-        if cls is A.ExprStmt:
-            self.expr(s.expr, st)
-            return
-        if cls is A.DeclStmt:
-            for d in s.decls:
-                if d.init is not None:
-                    self.expr(d.init, st)
-            return
-        if cls is A.If:
-            self.expr(s.cond, st)
-            then_st = dict(st)
-            self.stmt(s.then, then_st)
-            other_st = dict(st)
-            if s.other is not None:
-                self.stmt(s.other, other_st)
-            met = _meet(then_st, other_st)
-            st.clear()
-            st.update(met)
-            return
-        if cls is A.While:
-            self.expr(s.cond, st)
-            exits = [dict(st)]  # zero-iteration exit
-            body_st = dict(st)
-            for _ in range(2):
-                # Pass 1 marks straight-line covers; pass 2 re-enters
-                # with the state carried around the back-edge, finding
-                # the loop-carried self-covers that dominate scan loops.
-                self._loop_body(s.body, body_st)
-                self.expr(s.cond, body_st)
-                exits.append(dict(body_st))
-            self._mark_ranges(s.body, None)
-            self._loop_exit(s.body, exits, st)
-            return
-        if cls is A.DoWhile:
-            exits = []  # the body always runs at least once
-            body_st = dict(st)
-            for _ in range(2):
-                self._loop_body(s.body, body_st)
-                self.expr(s.cond, body_st)
-                exits.append(dict(body_st))
-            self._mark_ranges(s.body, None)
-            self._loop_exit(s.body, exits, st)
-            return
-        if cls is A.For:
-            if isinstance(s.init, A.DeclStmt):
-                self.stmt(s.init, st)
-            elif s.init is not None:
-                self.expr(s.init, st)
-            if s.cond is not None:
-                self.expr(s.cond, st)
-            exits = [dict(st)]
-            body_st = dict(st)
-            for _ in range(2):
-                self._loop_body(s.body, body_st)
-                if s.step is not None:
-                    self.expr(s.step, body_st)
-                if s.cond is not None:
-                    self.expr(s.cond, body_st)
-                exits.append(dict(body_st))
-            self._mark_ranges(s.body, s.step)
-            self._loop_exit(s.body, exits, st)
-            return
-        if cls is A.Return:
-            if s.value is not None:
-                self.expr(s.value, st)
-            return
-        if cls is A.Continue:
-            # The innermost loop's head is re-entered from here having
-            # skipped the body tail; snapshot the state so the
-            # back-edge meet accounts for this path too.
-            if self._continues:
-                self._continues[-1].append(dict(st))
-            return
-        # Break: the loop's post-state is already cleared
-        # conservatively, so early exits need no extra bookkeeping.
-
-    def _loop_body(self, body, body_st: dict) -> None:
-        """Walk a loop body and fold every ``continue`` edge into the
-        back-edge state: the head is re-entered both from the end of
-        the body and from each continue point, so only covers that
-        survive *all* of those paths carry around the loop."""
-        self._continues.append([])
-        try:
-            self.stmt(body, body_st)
-        finally:
-            snaps = self._continues.pop()
-        for snap in snaps:
-            met = _meet(body_st, snap)
-            body_st.clear()
-            body_st.update(met)
-
-    def _loop_exit(self, body, exits: list, st: dict) -> None:
-        """Post-loop state: the meet of every normal exit state (zero
-        iterations, one-plus iterations).  A body that can ``break``
-        exits mid-iteration with an unmodelled state, so it clears the
-        covers outright."""
-        if _has_break(body) or not exits:
-            st.clear()
-            return
-        met = exits[0]
-        for other in exits[1:]:
-            met = _meet(met, other)
+    def call(self, e, st: _Covers) -> None:
         st.clear()
-        st.update(met)
+
+    scast = call
+
+    def loop_exit(self, s) -> None:
+        self._mark_ranges(s.body, getattr(s, "step", None))
 
     # -- range-walk detection -------------------------------------------------
 

@@ -11,6 +11,12 @@ The returned :class:`CheckedProgram` carries the annotated AST (with
 inferred qualifiers and runtime-check metadata on the nodes), all
 diagnostics (errors, warnings, SCAST suggestions), and the inference
 artifacts the runtime needs (the RC-tracked shape set).
+
+After type checking, two static discharge tiers — check elimination
+(:mod:`repro.sharc.checkelim`) and the locked(l) lockset refinement
+(:mod:`repro.sharc.lockset`) — mark checks on one shared
+evaluation-order walker (:mod:`repro.sharc.evalwalk`).  A run consumes
+the marks under one ``static`` switch and is bit-identical either way.
 """
 
 from __future__ import annotations
@@ -42,15 +48,15 @@ class CheckedProgram:
     rc_stats: InstrumentStats
     source: str = ""
     filename: str = "<input>"
-    #: check-elimination census (repro.sharc.checkelim).  The marks are
-    #: always computed; whether the interpreter consumes them is the
-    #: run-time ``checkelim`` switch.
+    #: check-elimination census (repro.sharc.checkelim).  The marks of
+    #: both static discharge tiers are always computed, on one shared
+    #: evaluation-order walk (repro.sharc.evalwalk); whether the
+    #: interpreter consumes them is its one run-time ``static`` switch.
     elim_stats: ElimStats = field(default_factory=ElimStats)
     #: static lockset analysis (repro.sharc.lockset): locked(l)
-    #: refinements and compile-time race findings.  Like check
-    #: elimination, refinement marks are always computed; the
-    #: interpreter's ``lockset`` switch decides whether they are
-    #: consumed.  Static races are warnings kept out of ``ok``.
+    #: refinements and compile-time race findings.  Refinement marks
+    #: are consumed under the same ``static`` switch.  Static races are
+    #: warnings kept out of ``ok``.
     lockset_result: LocksetResult = field(default_factory=LocksetResult)
 
     @property

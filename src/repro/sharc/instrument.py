@@ -99,7 +99,7 @@ def _check_line(info, fallback_kind: str) -> str:
         flags.append("elide")
     if getattr(info, "range_walk", False):
         flags.append("range")
-    if getattr(info, "lockset_refined", False):
+    if getattr(info, "refined_lock", None) is not None:
         flags.append(f"locked:{info.refined_lock}")
     suffix = f" [{','.join(flags)}]" if flags else ""
     return f"// {info.loc}: {body}{suffix}"

@@ -11,7 +11,10 @@ intersection of the lock sets that *must* be held across all of its
 accesses.
 
 The analysis is flow-insensitive in the heap but tracks lock context
-flow-sensitively through each function body, interprocedurally:
+flow-sensitively through each function body, interprocedurally, on the
+evaluation-order walk it shares with check elimination
+(:class:`repro.sharc.evalwalk.EvalWalker`: ``continue`` edges meet into
+the loop back edge, ``break`` edges into the loop exit):
 
 1. **Relative summaries** — every function gets a summary describing
    its effect on an incoming held-lock set ``H`` as
@@ -37,13 +40,13 @@ Two consumers:
 
 - **Qualifier refinement**: a location whose accesses share a
   non-empty named lock intersection keeps its ``dynamic`` mode but has
-  every access marked ``lockset_refined`` with the chosen lock.  The
+  every access's ``refined_lock`` set to the chosen lock.  The
   interpreter may then discharge such a check through the held-lock
   log + ``ShadowMemory.recheck`` guard instead of a shadow-bitmap
   walk.  Exactly like check elimination, the runtime guard makes a
-  wrong mark cost one lookup rather than a missed race, so the
-  refinement is bit-identical in reports, step counts, and scheduler
-  RNG with the ``--no-lockset`` ablation.
+  wrong mark cost one lookup rather than a missed race, so runs are
+  bit-identical in reports, step counts, and scheduler RNG with the
+  ``--no-static`` ablation.
 - **Static race reports**: a location with a write, accesses from two
   thread contexts, an *empty* lock intersection, and no taint is
   reported as a compile-time ``static-race`` diagnostic carrying both
@@ -57,6 +60,7 @@ from typing import Optional
 
 from repro.cfront import cast as A
 from repro.errors import DiagKind, Diagnostic, Loc, Severity
+from repro.sharc.evalwalk import EvalWalker
 from repro.sharc.libc import is_builtin
 from repro.sharc.seeds import SeedInfo
 from repro.sharc.typecheck import AccessInfo
@@ -341,12 +345,12 @@ class StaticRace:
         return diag
 
 
-class _Walker:
-    """Evaluation-order walk mirroring ``checkelim._Walker`` with a
-    held-lock state instead of cover strengths."""
+class _Walker(EvalWalker):
+    """Held-lock tracking over the shared evaluation-order walk."""
 
     def __init__(self, global_names: frozenset, defined: dict,
                  summaries: dict) -> None:
+        super().__init__()
         self.global_names = global_names
         self.defined = defined            # name -> FuncDef (has body)
         self.summaries = summaries        # name -> Summary
@@ -357,27 +361,22 @@ class _Walker:
         self.on_access: Optional[callable] = None    # (node, info, is_w, st)
         self.on_spawn: Optional[callable] = None     # (call, loop_depth)
         self.loop_depth = 0
-        self._loop_breaks: list = []
-
-    # -- checks ---------------------------------------------------------------
 
     def check(self, node: A.Expr, info, is_write: bool,
               st: _LockState) -> None:
-        if info is None or self.on_access is None:
-            return
-        self.on_access(node, info, is_write, st)
+        if self.on_access is not None:
+            self.on_access(node, info, is_write, st)
 
-    # -- calls ----------------------------------------------------------------
+    def loop_enter(self, s) -> None:
+        self.loop_depth += 1
+
+    def loop_exit(self, s) -> None:
+        self.loop_depth -= 1
 
     def call(self, e: A.Call, st: _LockState) -> None:
         if e.callee.__class__ is not A.Ident:
-            self.expr(e.callee, st)
-            for arg in e.args:
-                self.expr(arg, st)
             st.taint = True  # an indirect callee may lock anything
             return
-        for arg in e.args:
-            self.expr(arg, st)
         name = e.callee.name
         if name in ACQUIRES:
             lock = _lock_name(e.args[0] if e.args else None,
@@ -413,183 +412,6 @@ class _Walker:
         if not is_builtin(name):
             # An undefined function could do anything with locks.
             st.taint = True
-
-    # -- expressions (structure identical to checkelim._Walker) ---------------
-
-    def lvalue(self, e: A.Expr, st: _LockState) -> None:
-        cls = e.__class__
-        if cls is A.Ident:
-            return
-        if cls is A.Unop and e.op == "*":
-            self.expr(e.operand, st)
-            return
-        if cls is A.Member:
-            if e.arrow:
-                self.expr(e.obj, st)
-            else:
-                self.lvalue(e.obj, st)
-            return
-        if cls is A.Index:
-            if getattr(e, "sharc_on_array", False):
-                self.lvalue(e.arr, st)
-            else:
-                self.expr(e.arr, st)
-            self.expr(e.idx, st)
-            return
-
-    def expr(self, e, st: _LockState) -> None:
-        if e is None:
-            return
-        cls = e.__class__
-        if cls is A.Ident:
-            self.check(e, getattr(e, "sharc_read", None), False, st)
-            return
-        if cls in (A.IntLit, A.CharLit, A.FloatLit, A.NullLit,
-                   A.StrLit, A.SizeofExpr):
-            return
-        if cls in (A.Member, A.Index):
-            self.lvalue(e, st)
-            self.check(e, getattr(e, "sharc_read", None), False, st)
-            return
-        if cls is A.Unop:
-            if e.op == "&":
-                self.lvalue(e.operand, st)
-                return
-            if e.op == "*":
-                self.expr(e.operand, st)
-                self.check(e, getattr(e, "sharc_read", None), False, st)
-                return
-            if e.op in ("++", "--"):
-                op = e.operand
-                self.lvalue(op, st)
-                self.check(op, getattr(op, "sharc_read", None), False, st)
-                self.check(op, getattr(op, "sharc_write", None), True, st)
-                return
-            self.expr(e.operand, st)
-            return
-        if cls is A.Binop:
-            if e.op in ("&&", "||"):
-                self.expr(e.lhs, st)
-                branch = st.copy()
-                self.expr(e.rhs, branch)
-                st.meet(branch)
-                return
-            self.expr(e.lhs, st)
-            self.expr(e.rhs, st)
-            return
-        if cls is A.Assign:
-            lhs = e.lhs
-            lhs_qt = lhs.ctype
-            if e.op == "=" and lhs_qt is not None and lhs_qt.is_struct:
-                self.lvalue(e.rhs, st)
-                self.lvalue(lhs, st)
-                self.check(lhs, getattr(lhs, "sharc_write", None),
-                           True, st)
-                self.check(e.rhs, getattr(e.rhs, "sharc_read", None),
-                           False, st)
-                return
-            self.expr(e.rhs, st)
-            self.lvalue(lhs, st)
-            if e.op != "=":
-                self.check(lhs, getattr(lhs, "sharc_read", None),
-                           False, st)
-            self.check(lhs, getattr(lhs, "sharc_write", None), True, st)
-            return
-        if cls is A.Call:
-            self.call(e, st)
-            return
-        if cls is A.SCastExpr:
-            self.lvalue(e.expr, st)
-            self.check(e.expr, getattr(e.expr, "sharc_read", None),
-                       False, st)
-            self.check(e, getattr(e, "sharc_src_write", None), True, st)
-            return
-        if cls is A.CastExpr:
-            self.expr(e.expr, st)
-            return
-        if cls is A.CondExpr:
-            self.expr(e.cond, st)
-            then_st = st.copy()
-            self.expr(e.then, then_st)
-            self.expr(e.other, st)
-            st.meet(then_st)
-            return
-        if cls is A.CommaExpr:
-            for part in e.parts:
-                self.expr(part, st)
-            return
-
-    # -- statements -----------------------------------------------------------
-
-    def stmt(self, s, st: _LockState) -> None:
-        if s is None:
-            return
-        cls = s.__class__
-        if cls is A.Compound:
-            for sub in s.stmts:
-                self.stmt(sub, st)
-            return
-        if cls is A.ExprStmt:
-            self.expr(s.expr, st)
-            return
-        if cls is A.DeclStmt:
-            for d in s.decls:
-                if d.init is not None:
-                    self.expr(d.init, st)
-            return
-        if cls is A.If:
-            self.expr(s.cond, st)
-            then_st = st.copy()
-            self.stmt(s.then, then_st)
-            if s.other is not None:
-                self.stmt(s.other, st)
-            st.meet(then_st)
-            return
-        if cls in (A.While, A.DoWhile, A.For):
-            self._loop(s, cls, st)
-            return
-        if cls is A.Return:
-            if s.value is not None:
-                self.expr(s.value, st)
-            return
-        if cls is A.Break:
-            # The post-loop state must include the state here.
-            if self._loop_breaks:
-                self._loop_breaks[-1].append(st.copy())
-            return
-        # Continue: the two-pass loop walk already meets the back-edge.
-
-    def _loop(self, s, cls, st: _LockState) -> None:
-        self.loop_depth += 1
-        self._loop_breaks.append([])
-        exits = []
-        if cls is A.For:
-            if isinstance(s.init, A.DeclStmt):
-                self.stmt(s.init, st)
-            elif s.init is not None:
-                self.expr(s.init, st)
-        if cls is not A.DoWhile:
-            if getattr(s, "cond", None) is not None:
-                self.expr(s.cond, st)
-            exits.append(st.copy())  # zero-iteration exit
-        body_st = st.copy()
-        for _ in range(2):
-            # Pass 1 is the straight-line walk; pass 2 re-enters with
-            # the back-edge state, so ``held`` at each access is met
-            # with the loop-carried state (loop-invariant locks stay).
-            self.stmt(s.body, body_st)
-            if cls is A.For and s.step is not None:
-                self.expr(s.step, body_st)
-            if getattr(s, "cond", None) is not None:
-                self.expr(s.cond, body_st)
-            exits.append(body_st.copy())
-        exits.extend(self._loop_breaks.pop())
-        self.loop_depth -= 1
-        met = exits[0]
-        for other in exits[1:]:
-            met.meet(other)
-        st.minus, st.plus = met.minus, met.plus
-        st.kill_all, st.taint = met.kill_all, met.taint
 
 
 def _compute_summaries(walker: _Walker, funcs: list,
@@ -686,8 +508,6 @@ def analyze_locksets(program: A.Program,
     spawn_weight: dict = {}   # root name -> spawn multiplicity
 
     def record(node, info, is_write, st):
-        if not info.is_dynamic:
-            return
         key = loc_key(node, global_names)
         if key is None:
             return
@@ -739,7 +559,6 @@ def analyze_locksets(program: A.Program,
         if lock not in global_names:
             continue  # refined checks resolve the lock as a global
         for site in info.sites:
-            site.info.lockset_refined = True
             site.info.refined_lock = lock
         result.refinements.append(Refinement(
             key, lock, len(info.sites), info.reads, info.writes,

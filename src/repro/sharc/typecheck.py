@@ -67,11 +67,11 @@ class AccessInfo:
     #: range-batched check APIs.
     elide: bool = field(init=False, default=False)
     range_walk: bool = field(init=False, default=False)
-    #: static lockset refinement marks (repro.sharc.lockset).  A refined
+    #: static lockset refinement mark (repro.sharc.lockset).  A refined
     #: access is still ``dynamic`` — the interpreter merely gets to
     #: discharge it through the held-lock log + ``recheck`` guard when
-    #: ``refined_lock`` (a program global mutex) is indeed held.
-    lockset_refined: bool = field(init=False, default=False)
+    #: ``refined_lock`` (a program global mutex; ``None`` = unrefined)
+    #: is indeed held.
     refined_lock: Optional[str] = field(init=False, default=None)
     #: precomputed per-site attribution keys (repro.obs.sitestats):
     #: ``(file, line, lvalue, op)`` for the read and write flavour of

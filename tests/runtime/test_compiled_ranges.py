@@ -2,7 +2,7 @@
 
 ``chkread_range``/``chkwrite_range`` are the page-sliced batch walk the
 check eliminator routes monotone array walks through; the scalar path
-(``checkelim=False``) performs one full ``chkread``/``chkwrite`` per
+(``static=False``) performs one full ``chkread``/``chkwrite`` per
 element instead.  The existing equivalence tests pin this down at the
 shadow-memory unit level and for whole programs under the tree-walking
 interpreter only; these properties close the gap by holding the
@@ -66,9 +66,9 @@ def _checked(array_len):
     return _CHECKED[array_len]
 
 
-def _run(checked, seed, policy, *, backend, checkelim=True):
+def _run(checked, seed, policy, *, backend, static=True):
     return run_checked(checked, seed=seed, policy=policy,
-                       backend=backend, checkelim=checkelim,
+                       backend=backend, static=static,
                        record_trace=True)
 
 
@@ -84,7 +84,7 @@ def test_range_walk_and_scalar_loop_agree_under_compiled(seed, policy,
     checked = _checked(array_len)
     ranged = _run(checked, seed, policy, backend="compiled")
     scalar = _run(checked, seed, policy, backend="compiled",
-                  checkelim=False)
+                  static=False)
     # The two configurations really took different check paths.
     assert ranged.stats.checks_range > 0
     assert scalar.stats.checks_range == 0

@@ -620,3 +620,31 @@ class TestHorizonProbeCache:
             ("random", "pct:3:400", "pb:2"), RACY_COUNTER, "racy.c",
             "sharc", 2000, 8, None, 2)
         assert resolved == ("random", "pct:3:400", "pb:2")
+
+    def test_caches_stay_at_their_bound(self, monkeypatch):
+        """Checking more distinct sources than ``CACHE_ENTRIES`` keeps
+        both per-process caches at the bound, and the most recent
+        sources still hit."""
+        from repro.explore import driver
+        from repro.runtime import interp
+
+        monkeypatch.setattr(driver, "_CHECK_CACHE", driver._LRU())
+        monkeypatch.setattr(driver, "_HORIZON_CACHE", driver._LRU())
+        assert driver.CACHE_ENTRIES >= 12  # the largest shipped campaign
+        sources = [f"{RACY_COUNTER}// variant {n}\n"
+                   for n in range(driver.CACHE_ENTRIES + 3)]
+        for source in sources:
+            driver._resolve_policies(("pct",), source, "racy.c", "sharc",
+                                     2000, 8, None, 2)
+        assert len(driver._CHECK_CACHE) == driver.CACHE_ENTRIES
+        assert len(driver._HORIZON_CACHE) == driver.CACHE_ENTRIES
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a recent source must hit the cache")
+
+        monkeypatch.setattr(interp, "run_checked", boom)
+        monkeypatch.setattr("repro.sharc.checker.check_source", boom)
+        recent = driver._checked_program(sources[-1], "racy.c")
+        assert recent is driver._checked_program(sources[-1], "racy.c")
+        driver._resolve_policies(("pct",), sources[3], "racy.c", "sharc",
+                                 2000, 8, None, 2)

@@ -129,22 +129,22 @@ class TestReconciliation:
 
     def test_sites_identical_across_backends(self):
         """Both backends run the same per-site check closure, so every
-        discharge kind lands identically, with each static tier on or
+        discharge kind lands identically, with the static tiers on or
         off."""
-        from tests.runtime.test_lockset_identity import MIXED
+        from tests.runtime.test_static_identity import MIXED
 
-        for source, kwargs in ((RACY, {}), (RACY, {"checkelim": False}),
-                               (MIXED, {}), (MIXED, {"lockset": False})):
+        for source, kwargs in ((RACY, {}), (RACY, {"static": False}),
+                               (MIXED, {}), (MIXED, {"static": False})):
             a = _run(source, backend="interp", **kwargs)
             b = _run(source, backend="compiled", **kwargs)
             assert a.stats.sites == b.stats.sites
             assert a.stats.steps_total == b.stats.steps_total
 
     def test_ablations_shift_kinds_not_totals(self):
-        """checkelim off turns elided checks into full walks; the site
+        """static off turns elided checks into full walks; the site
         totals must follow and still reconcile."""
-        on = _run(RACY, checkelim=True)
-        off = _run(RACY, checkelim=False)
+        on = _run(RACY, static=True)
+        off = _run(RACY, static=False)
         assert reconcile(off.stats.sites, off.stats) == []
         assert totals(off.stats.sites)["elided"] == 0
         assert totals(on.stats.sites)["checks"] == \

@@ -4,7 +4,7 @@ These pin the *marking* behaviour: which dynamic checks get the
 ``elide`` hint, which array walks get the ``range`` hint, and what the
 instrumented listing shows for both.  The run-time half — that consuming
 the marks never changes reports, steps, or scheduling — lives in
-``tests/runtime/test_checkelim_identity.py``."""
+``tests/runtime/test_static_identity.py``."""
 
 from repro.cfront import cast as A
 from repro.sharc.checkelim import mark_elisions
@@ -97,15 +97,42 @@ class TestRedundantCheckElision:
             "for (i = 0; i < 8; i++) buf[i] = buf[i] + 1;"))
         assert checked.elim_stats.elided_reads >= 1
 
-    def test_break_in_loop_clears_covers(self):
-        # With a break the post-loop state may come from any iteration
-        # prefix, so nothing survives the loop.
+    def test_break_snapshot_meets_into_the_loop_exit(self):
+        # A break leaves the loop with the state at the break, so the
+        # post-loop state is the meet of every exit and every break
+        # snapshot: the g cover holds on all of them here and survives.
         with_break = check_ok(_prog(
             "x = g; while (x) { if (h) break; x = x - 1; } x = x + g;"))
         without = check_ok(_prog(
             "x = g; while (x) { x = x - 1; } x = x + g;"))
-        assert "g" not in _marks(with_break)[0]
+        assert "g" in _marks(with_break)[0]
         assert "g" in _marks(without)[0]
+
+    def test_break_path_kill_reaches_the_loop_exit(self):
+        # A call on the break path kills the g cover on that exit, so
+        # the post-loop read of g is not elided.
+        killed = check_ok(_prog(
+            "x = g; while (x) { if (h) { helper(); break; } x = x - 1; }"
+            " x = x + g;"))
+        assert "g" not in _marks(killed)[0]
+
+    def test_post_break_elision_runs_bit_identical(self):
+        from repro.runtime.interp import run_checked
+
+        checked = check_ok(_prog(
+            "x = g; while (x) { if (h) break; x = x - 1; } x = x + g;"))
+        post_loop = [e for func in checked.program.functions()
+                     for e in A.all_exprs(func.body)
+                     if e.__class__ is A.Ident and e.name == "g"][-1]
+        assert post_loop.sharc_read.elide
+        for seed in range(4):
+            on = run_checked(checked, seed=seed, static=True,
+                             record_trace=True)
+            off = run_checked(checked, seed=seed, static=False,
+                              record_trace=True)
+            assert (on.stats.steps_total, on.trace, on.report_counts,
+                    on.output) == (off.stats.steps_total, off.trace,
+                                   off.report_counts, off.output)
 
     def test_continue_path_kill_reaches_the_back_edge(self):
         # The continue edge re-enters the loop head having skipped the

@@ -45,6 +45,29 @@ class TestCheckedProgram:
         parse_program(checked.inferred_source())
 
 
+@pytest.mark.parametrize("source, line", [
+    ("int main() { x = 1; return 0; }",
+     "t.c:1:16: error: cannot assign to 'x'"),
+    ("int main() { int a; a = y; return 0; }",
+     "t.c:1:25: error: use of undeclared name 'y'"),
+    ("int main() { int a; a = *a; return 0; }",
+     "t.c:1:25: error: invalid l-value '*a'"),
+    ("struct s { int a; }; int main() { struct s v; v.b = 1; return 0; }",
+     "t.c:1:48: error: struct s has no field 'b'"),
+    ("int private * dynamic p; int main() { return 0; }",
+     "t.c:1:23: error: ill-formed type 'int private *dynamic' (global "
+     "'p'): a non-private pointer must not reference a private object "
+     "(REF-CTOR)"),
+])
+def test_each_diagnostic_renders_once(source, line):
+    """Inference and type checking walk the same bodies, and
+    well-formedness runs before and after solving; each finding still
+    prints once."""
+    lines = check_source(source, "t.c").render_diagnostics().splitlines()
+    assert lines.count(line) == 1
+    assert len(lines) == len(set(lines))
+
+
 class TestCheckAndRun:
     def test_clean_program_runs(self):
         checked, result = check_and_run(CLEAN, seed=1)

@@ -50,6 +50,35 @@ int main() {
 }
 """
 
+# The loop body's ``i == 3`` path releases m and continues; the body's
+# ``g = g + 1`` is on line 7.
+CONTINUE_UNLOCK = """int g;
+mutex m;
+void *worker(void *a) {
+  int i = 0;
+  mutexLock(&m);
+  while (i < 6) {
+    g = g + 1;
+    if (i == 3) {
+      mutexUnlock(&m);
+      i++;
+      continue;
+    }
+    mutexUnlock(&m);
+    mutexLock(&m);
+    i++;
+  }
+  return NULL;
+}
+int main() {
+  int t1 = thread_create(worker, NULL);
+  int t2 = thread_create(worker, NULL);
+  thread_join(t1);
+  thread_join(t2);
+  return 0;
+}
+"""
+
 
 class TestRefinement:
     def test_consistently_locked_global_is_refined(self):
@@ -68,7 +97,7 @@ class TestRefinement:
         checked = check_ok(LOCKED_COUNTER)
         marked = [s.info for li in
                   checked.lockset_result.locations.values()
-                  for s in li.sites if s.info.lockset_refined]
+                  for s in li.sites if s.info.refined_lock is not None]
         assert marked
         assert all(m.refined_lock == "lk" for m in marked)
 
@@ -337,6 +366,22 @@ class TestStaticRaces:
         src, spec = racy_c_program(3, kind="write-write")
         ls = check_ok(src, "racy3.c").lockset_result
         assert any(spec.global_name in k for k in ls.race_keys)
+
+    def test_continue_path_unlock_reaches_the_loop_head(self):
+        """The ``i == 3`` path releases ``m`` and re-enters the loop head
+        through ``continue``, so the next ``g = g + 1`` runs unlocked:
+        ``g`` is a static race, not a locked(m) refinement — the same
+        race the dynamic checker reports."""
+        from repro.runtime.interp import run_checked
+
+        checked = check_ok(CONTINUE_UNLOCK)
+        ls = checked.lockset_result
+        assert [d.message_key for d in ls.races] == ["g@7"]
+        assert not any(r.text == "g" for r in ls.refinements)
+        dynamic = set()
+        for seed in range(30):
+            dynamic |= set(run_checked(checked, seed=seed).report_counts)
+        assert {"read conflict g@7", "write conflict g@7"} <= dynamic
 
 
 class TestResultSurface:

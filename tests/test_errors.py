@@ -76,6 +76,18 @@ class TestSink:
         sink.error(DiagKind.PARSE, "x")
         assert [d.message for d in sink] == ["x"]
 
+    def test_identical_diagnostic_is_recorded_once(self):
+        sink = DiagnosticSink()
+        first = sink.error(DiagKind.PARSE, "x", Loc("a.c", 1, 2))
+        again = sink.error(DiagKind.PARSE, "x", Loc("a.c", 1, 2))
+        assert again is first
+        assert len(sink) == 1
+        # Any differing field makes it a new diagnostic.
+        sink.error(DiagKind.PARSE, "x", Loc("a.c", 1, 3))
+        sink.warning(DiagKind.PARSE, "x", Loc("a.c", 1, 2))
+        sink.emit(DiagKind.PARSE, "x", Loc("a.c", 1, 2), notes=["n"])
+        assert len(sink) == 4
+
 
 class TestExceptions:
     def test_sharc_error_carries_loc(self):
