@@ -230,8 +230,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             source = _read(args.file)
         try:
             report = profile_source(source, args.file, seed=args.seed,
-                                    rc_scheme="lp" if args.rc == "off"
-                                    else args.rc,
+                                    rc_scheme=args.rc,
                                     max_steps=args.max_steps,
                                     static=not args.no_static,
                                     backend=args.backend,
@@ -402,6 +401,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
         from repro.obs import MetricsRegistry, write_metrics
 
         registry = MetricsRegistry()
+        registry.lockset_unconverged = len(check_source(
+            source, filename).lockset_result.unconverged)
         for one in sweeps:
             registry.record_sweep(one)
         if args.checker == "both" and summary is not None:

@@ -57,7 +57,6 @@ from repro.explore.driver import (
     _source_hash, run_schedule,
 )
 from repro.explore.queue import WorkQueue
-from repro.runtime.profile import Profiler
 
 #: shard rows carry encoded site counters in the current
 #: :data:`repro.obs.sitestats.SITE_FIELDS` layout; bump both tags when
@@ -392,7 +391,6 @@ class CampaignSummary:
     new_trace_count: int = 0
     complete: bool = False
     interrupted: bool = False
-    profiler: Profiler = field(default_factory=Profiler)
 
     @property
     def filename(self) -> str:
@@ -712,15 +710,14 @@ def run_campaign(targets: Optional[Sequence[CampaignTarget]],
     # so per-shard new-trace counts — and therefore every subsequent
     # coverage-guided pick — replay exactly.
     scheduled = 0
-    with summary.profiler.phase("refold"):
-        for lease in queue.completed():
-            payload = queue.load_shard(lease["shard"])
-            new = _fold_shard(summary, lease, payload, corpus)
-            cell = cell_index[(lease["label"], lease["policy"])]
-            cell.record(lease["seeds"], new)
-            cell.next_seed = max(cell.next_seed,
-                                 lease["seed_start"] + lease["seeds"])
-            scheduled += lease["seeds"]
+    for lease in queue.completed():
+        payload = queue.load_shard(lease["shard"])
+        new = _fold_shard(summary, lease, payload, corpus)
+        cell = cell_index[(lease["label"], lease["policy"])]
+        cell.record(lease["seeds"], new)
+        cell.next_seed = max(cell.next_seed,
+                             lease["seed_start"] + lease["seeds"])
+        scheduled += lease["seeds"]
     shard_id = summary.shards_done
 
     if telemetry is not None:
@@ -740,30 +737,28 @@ def run_campaign(targets: Optional[Sequence[CampaignTarget]],
             max_burst=config.max_burst,
             shadow_bytes=config.shadow_bytes, backend=config.backend,
             sites_every=config.sites_every)
-        with summary.profiler.phase("sweep"):
-            while scheduled < config.budget:
-                if stop_after is not None and shards_run >= stop_after:
-                    break
-                cell, rate = _pick_cell(cells)
-                seeds = min(config.shard_size,
-                            config.budget - scheduled)
-                shard = {"shard": shard_id, "label": cell.label,
-                         "policy": cell.policy,
-                         "seed_start": cell.next_seed, "seeds": seeds}
-                queue.lease(shard, rate=rate, picked=shard_id)
-                payload = _run_shard(shard, pool, config.jobs)
-                new = _fold_shard(summary, shard, payload, corpus,
-                                  telemetry=telemetry)
-                corpus.flush()
-                queue.write_shard(shard_id, payload)
-                queue.mark_done(shard_id)
-                cell.record(seeds, new)
-                cell.next_seed += seeds
-                scheduled += seeds
-                shard_id += 1
-                shards_run += 1
-                if progress is not None:
-                    progress(scheduled, config.budget, summary)
+        while scheduled < config.budget:
+            if stop_after is not None and shards_run >= stop_after:
+                break
+            cell, rate = _pick_cell(cells)
+            seeds = min(config.shard_size, config.budget - scheduled)
+            shard = {"shard": shard_id, "label": cell.label,
+                     "policy": cell.policy,
+                     "seed_start": cell.next_seed, "seeds": seeds}
+            queue.lease(shard, rate=rate, picked=shard_id)
+            payload = _run_shard(shard, pool, config.jobs)
+            new = _fold_shard(summary, shard, payload, corpus,
+                              telemetry=telemetry)
+            corpus.flush()
+            queue.write_shard(shard_id, payload)
+            queue.mark_done(shard_id)
+            cell.record(seeds, new)
+            cell.next_seed += seeds
+            scheduled += seeds
+            shard_id += 1
+            shards_run += 1
+            if progress is not None:
+                progress(scheduled, config.budget, summary)
     except KeyboardInterrupt:
         summary.interrupted = True
     finally:
@@ -773,8 +768,6 @@ def run_campaign(targets: Optional[Sequence[CampaignTarget]],
 
     summary.complete = (scheduled >= config.budget
                         and not summary.interrupted)
-    summary.profiler.count("schedules", summary.schedules)
-    summary.profiler.count("distinct_traces", summary.distinct_traces)
     if telemetry is not None:
         telemetry.end_sweep(summary)
     if summary.complete:

@@ -494,9 +494,6 @@ def explore_source(source: str, filename: str = "<input>", *,
                 pool.join()
     if telemetry is not None:
         telemetry.end_sweep(summary)
-    summary.profiler.count("schedules", summary.schedules)
-    summary.profiler.count("failing_schedules", len(summary.failures))
-    summary.profiler.count("distinct_traces", summary.distinct_traces)
     return summary
 
 

@@ -29,7 +29,7 @@ import json
 
 from repro.obs import sitestats
 
-METRICS_SCHEMA = "sharc-metrics/6"
+METRICS_SCHEMA = "sharc-metrics/7"
 
 
 def _rate(hits: int, total: int) -> float:
@@ -57,6 +57,9 @@ class MetricsRegistry:
         self._reports: set = set()
         # static-vs-dynamic agreement (differential sweeps only)
         self.static_races = 0
+        #: functions of the swept program whose lockset fixpoint ran
+        #: out of rounds (``LocksetResult.unconverged``)
+        self.lockset_unconverged = 0
         #: checker -> {"agreeing", "static_only", "dynamic_only"}
         self._static: dict[str, dict] = {}
         #: merged per-check-site attribution (sitestats layout)
@@ -150,6 +153,7 @@ class MetricsRegistry:
             },
             "static": {
                 "races": self.static_races,
+                "lockset_unconverged": self.lockset_unconverged,
                 "agreement": {
                     checker: dict(acc)
                     for checker, acc in sorted(self._static.items())},
@@ -232,10 +236,11 @@ def validate_metrics(payload: dict) -> list:
     if not isinstance(static, dict):
         problems.append("static missing")
     else:
-        races = static.get("races")
-        if not isinstance(races, int) or races < 0:
-            problems.append("static.races: expected non-negative int, "
-                            f"got {races!r}")
+        for key in ("races", "lockset_unconverged"):
+            value = static.get(key)
+            if not isinstance(value, int) or value < 0:
+                problems.append(f"static.{key}: expected non-negative "
+                                f"int, got {value!r}")
         agreement = static.get("agreement")
         if not isinstance(agreement, dict):
             problems.append("static.agreement missing")

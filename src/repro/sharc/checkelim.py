@@ -6,23 +6,23 @@ them *rarer*, the standard lever of lightweight static race analyses
 transformations, both driven by the evaluation-order walk it shares
 with the lockset refinement (:class:`repro.sharc.evalwalk.EvalWalker`):
 
-- **Redundant-check elimination** (``AccessInfo.elide`` /
-  ``node.sharc_check_elided``): a check is marked when a previous check
-  of the same lvalue, at least as strong (a write check covers a later
-  read check), reaches it on every path with no intervening *yield
-  point* — calls (which may spawn, lock, or run library summaries) and
-  sharing casts (which reset granule bitmaps) are the kill points.
+- **Redundant-check elimination** (``AccessInfo.elide``): a check is
+  marked when a previous check of the same lvalue, at least as strong
+  (a write check covers a later read check), reaches it on every path
+  with no intervening *yield point* — calls (which may spawn, lock, or
+  run library summaries) and sharing casts (which reset granule
+  bitmaps) are the kill points.
   Loop bodies are walked twice so covers carried around the back-edge
   (``h[i]`` in a scan loop covering itself) are found; the back-edge
   state is met with every ``continue`` point and the post-loop state
   with every ``break`` point, so a cover survives a loop only if it
   holds on every path that leaves it.
 
-- **Range-walk marking** (``AccessInfo.range_walk`` /
-  ``node.sharc_range_check``): an indexed access inside a call-free
-  loop whose index variable is monotonically stepped is routed through
-  the range-batched ``ShadowMemory.chkread_range``/``chkwrite_range``
-  APIs, which hoist the page lookup out of the per-granule walk.
+- **Range-walk marking** (``AccessInfo.range_walk``): an indexed
+  access inside a call-free loop whose index variable is monotonically
+  stepped is routed through the range-batched
+  ``ShadowMemory.chkread_range``/``chkwrite_range`` APIs, which hoist
+  the page lookup out of the per-granule walk.
 
 Soundness is *not* this pass's burden, by design.  The scheduler may
 preempt a thread at any yield and another thread may mutate the shadow
@@ -125,7 +125,6 @@ class _Walker(EvalWalker):
         if st.get(key, 0) >= need:
             if not info.elide:
                 info.elide = True
-                node.sharc_check_elided = True  # type: ignore[attr-defined]
                 if is_write:
                     self.stats.elided_writes += 1
                 else:
@@ -178,7 +177,6 @@ class _Walker(EvalWalker):
                 if info is None or not info.is_dynamic or info.range_walk:
                     continue
                 info.range_walk = True
-                e.sharc_range_check = True  # type: ignore[attr-defined]
                 if is_write:
                     self.stats.range_writes += 1
                 else:

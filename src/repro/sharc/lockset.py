@@ -292,6 +292,9 @@ class LocksetResult:
     races: list = field(default_factory=list)
     #: thread roots spawned more than once (>=2 sites, or in a loop).
     multi_spawned: frozenset = frozenset()
+    #: functions whose summary or entry set was still changing when its
+    #: fixpoint ran out of rounds, and so fell back to a sound default
+    unconverged: tuple = ()
 
     @property
     def refined_sites(self) -> int:
@@ -415,14 +418,16 @@ class _Walker(EvalWalker):
 
 
 def _compute_summaries(walker: _Walker, funcs: list,
-                       rounds: Optional[int] = None) -> dict:
-    """Phase 1: relative (minus, plus, taint) summaries to fixpoint."""
+                       rounds: Optional[int] = None) -> tuple:
+    """Phase 1: relative (minus, plus, taint) summaries to fixpoint.
+    Returns the summaries and the names forced to top."""
     summaries = {f.name: Summary() for f in funcs}
     calls: dict = {}
     walker.summaries = summaries
     if rounds is None:
         rounds = 2 * len(funcs) + 4
     last_changed: set = set()
+    unstable: set = set()
     for round_ in range(rounds):
         last_changed = set()
         for func in funcs:
@@ -446,7 +451,6 @@ def _compute_summaries(walker: _Walker, funcs: list,
         for caller, callees in calls.items():
             for callee in callees:
                 callers.setdefault(callee, set()).add(caller)
-        unstable: set = set()
         worklist = list(last_changed)
         while worklist:
             name = worklist.pop()
@@ -457,7 +461,7 @@ def _compute_summaries(walker: _Walker, funcs: list,
         for name in unstable:
             summaries[name] = Summary(kill_all=True, taint=True)
     walker.func_calls = calls
-    return summaries
+    return summaries, tuple(sorted(unstable))
 
 
 def analyze_locksets(program: A.Program,
@@ -472,7 +476,7 @@ def analyze_locksets(program: A.Program,
     defined = {f.name: f for f in funcs}
     walker = _Walker(global_names, defined, {})
 
-    result.summaries = _compute_summaries(walker, funcs)
+    result.summaries, result.unconverged = _compute_summaries(walker, funcs)
     walker.summaries = result.summaries
 
     # Phase 2: concrete must-held entry sets, met over call sites.
@@ -481,7 +485,7 @@ def analyze_locksets(program: A.Program,
         if root in defined:
             entries[root] = frozenset()
     for _ in range(2 * len(funcs) + 4):
-        changed = False
+        changed: set = set()
         for func in funcs:
             entry = entries.get(func.name)
             if entry is None:
@@ -493,14 +497,18 @@ def analyze_locksets(program: A.Program,
                 new = held if old is None else old & held
                 if new != old:
                     _entries[name] = new
-                    nonlocal changed
-                    changed = True
+                    changed.add(name)
 
             walker.on_call = meet_entry
             walker.stmt(func.body, _LockState(plus=entry))
         walker.on_call = None
         if not changed:
             break
+    else:
+        # Still shrinking: nothing is known held on any entry.
+        result.unconverged = tuple(sorted(changed.union(
+            result.unconverged)))
+        entries = dict.fromkeys(entries, frozenset())
     result.entries = entries
 
     # Phase 3: one recording pass per reachable function.

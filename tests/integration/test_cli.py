@@ -1,5 +1,8 @@
 """CLI tests: the ``sharc`` tool end to end."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -94,6 +97,17 @@ class TestRun:
 
     def test_rc_scheme_flag(self, clean_file):
         assert main(["run", clean_file, "--rc", "naive"]) == 0
+
+    @pytest.mark.parametrize("rc", ["lp", "naive", "off"])
+    def test_profile_runs_the_rc_scheme_it_names(self, rc, capsys):
+        example = str(Path(__file__).parents[2]
+                      / "examples" / "pipeline_annotated.c")
+        assert main(["run", example, "--rc", rc, "--stats"]) == 0
+        steps = re.search(r"steps=(\d+)", capsys.readouterr().out)[1]
+        assert main(["run", example, "--rc", rc, "--profile"]) == 0
+        profiled = re.search(r"instrumented: (\d+) steps",
+                             capsys.readouterr().out)[1]
+        assert profiled == steps
 
     @pytest.mark.parametrize("command", ["run", "explore"])
     def test_missing_file_is_one_error_line(self, tmp_path, command,

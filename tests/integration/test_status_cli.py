@@ -148,6 +148,7 @@ class TestReportCommand:
         assert "telemetry" in capsys.readouterr().err
 
     @pytest.mark.parametrize("schema", ["sharc-metrics/5",
+                                        "sharc-metrics/6",
                                         "sharc-metrics/99"])
     def test_other_metrics_schema_exits_2(self, campaign, capsys, schema):
         path = os.path.join(campaign, "metrics.json")

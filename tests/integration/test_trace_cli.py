@@ -82,6 +82,7 @@ class TestExploreMetricsOut:
         assert payload["schema"] == METRICS_SCHEMA
         assert payload["totals"]["schedules"] > 0
         assert payload["totals"]["check_updates"] > 0
+        assert payload["static"]["lockset_unconverged"] == 0
 
 
 class TestTraceCommand:

@@ -15,10 +15,10 @@ from __future__ import annotations
 import pytest
 
 from tests.conftest import check_ok
-from tests.runtime.test_register_census import _straddling
-from tests.runtime.test_schedule_golden import fingerprint
+from tests.runtime.test_identity_oracle import (
+    check_identity, straddling_source,
+)
 from repro.cfront import cast as A
-from repro.runtime.interp import make_interp
 
 #: name -> (source, expected output, expected error).  Every right-hand
 #: side assigned to ``r`` must be flat.
@@ -96,31 +96,23 @@ def _flat_roots(checked, lhs: str = "r") -> list:
             and e.lhs.name == lhs]
 
 
-def _same_on_both_backends(checked):
-    """Runs both backends; asserts equal page censuses, per-thread step
-    costs and fingerprints (steps, trace, reports, output, error text,
-    scheduler RNG).  Returns the tree-walker's result."""
-    results, costs = {}, {}
-    for backend in ("interp", "compiled"):
-        interp = make_interp(checked, backend=backend, seed=0)
-        results[backend] = interp.run()
-        costs[backend] = sorted((t.tid, t.steps)
-                                for t in interp.sched.threads.values())
-    assert (results["compiled"].stats.pages_program
-            == results["interp"].stats.pages_program)
-    assert costs["compiled"] == costs["interp"]
+def _identical_everywhere(checked):
+    """Holds the identity oracle's contract (page census, per-thread
+    step costs, steps, trace, reports, output, error text, scheduler
+    RNG) at six coordinates.  Returns the reference run's result."""
     for seed in (0, 1, 2):
         for policy in ("random", "serial"):
-            assert (fingerprint(checked, seed, policy, "compiled")
-                    == fingerprint(checked, seed, policy, "interp"))
-    return results["interp"]
+            rows = check_identity(checked, seed, policy)
+            if (seed, policy) == (0, "random"):
+                _, (_, result) = rows[0]
+    return result
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))
 def test_flat_program_matches_compiled(name):
     source, output, error = PROGRAMS[name]
     checked = check_ok(source)
-    result = _same_on_both_backends(checked)
+    result = _identical_everywhere(checked)
     assert result.output == output
     if error is None:
         assert result.error is None
@@ -134,10 +126,12 @@ def test_flat_read_pays_the_page_census():
     """``far`` sits alone on the page after the one ``f``'s slab starts
     on, and only a flat subtree reads it: that read alone counts the
     page."""
-    read = _straddling("t = c + 1;", 0, "x = (far * 2 + t) & 0xFF;")
-    unread = _straddling("t = c + 1;", 0, "x = (t * 2 + t) & 0xFF;")
-    with_far = _same_on_both_backends(read).stats.pages_program
-    without = _same_on_both_backends(unread).stats.pages_program
+    read = check_ok(straddling_source("t = c + 1;", 0,
+                                      "x = (far * 2 + t) & 0xFF;"))
+    unread = check_ok(straddling_source("t = c + 1;", 0,
+                                        "x = (t * 2 + t) & 0xFF;"))
+    with_far = _identical_everywhere(read).stats.pages_program
+    without = _identical_everywhere(unread).stats.pages_program
     assert with_far == without + 1
     assert all(getattr(e, "sharc_flat", False)
                for e in _flat_roots(read, "x"))

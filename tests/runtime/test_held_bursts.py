@@ -28,7 +28,7 @@ from repro.obs.events import TraceConfig
 from repro.runtime.interp import make_interp
 from repro.runtime.scheduler import PreemptionBoundPolicy
 from tests.conftest import check_ok
-from tests.runtime.test_schedule_golden import fingerprint
+from tests.runtime.test_identity_oracle import fingerprint
 
 BACKENDS = ("interp", "compiled")
 

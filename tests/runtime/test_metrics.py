@@ -227,10 +227,12 @@ class TestValidateMetrics:
     def test_flags_bad_static_block(self):
         payload = MetricsRegistry().as_dict()
         payload["static"]["races"] = -3
+        payload["static"]["lockset_unconverged"] = None
         payload["static"]["agreement"] = {
             "sharc": {"agreeing": 1, "static_only": "no"}}
         problems = validate_metrics(payload)
         assert any("static.races" in p for p in problems)
+        assert any("static.lockset_unconverged" in p for p in problems)
         assert any("static.agreement.sharc.static_only" in p
                    for p in problems)
         assert any("static.agreement.sharc.dynamic_only" in p
@@ -239,7 +241,8 @@ class TestValidateMetrics:
     def test_empty_registry_static_block_is_valid(self):
         payload = MetricsRegistry().as_dict()
         assert validate_metrics(payload) == []
-        assert payload["static"] == {"races": 0, "agreement": {}}
+        assert payload["static"] == {"races": 0, "lockset_unconverged": 0,
+                                     "agreement": {}}
 
 
 class TestRateEdgeCases:

@@ -8,6 +8,7 @@ claims to explain is worse than none.
 
 import pytest
 
+from tests.runtime.test_identity_oracle import COUNTER as RACY
 from repro.obs.sitestats import (
     I_COST, SITE_FIELDS, decode_sites, encode_sites, merge_sites,
     new_counter, reconcile, render_hot_sites, site_id, site_rows,
@@ -16,22 +17,6 @@ from repro.obs.sitestats import (
 from repro.runtime.interp import run_checked
 from repro.sharc.checker import check_source
 
-RACY = """
-int counter = 0;
-void *bump(void *arg) {
-  int i;
-  for (i = 0; i < 8; i++)
-    counter = counter + 1;
-  return NULL;
-}
-int main() {
-  int t1 = thread_create(bump, NULL);
-  int t2 = thread_create(bump, NULL);
-  thread_join(t1);
-  thread_join(t2);
-  return 0;
-}
-"""
 
 LOCKED = """
 mutex lk;
@@ -126,19 +111,6 @@ class TestReconciliation:
     def test_locked_refinement_reconciles(self, backend):
         result = _run(LOCKED, backend=backend)
         assert reconcile(result.stats.sites, result.stats) == []
-
-    def test_sites_identical_across_backends(self):
-        """Both backends run the same per-site check closure, so every
-        discharge kind lands identically, with the static tiers on or
-        off."""
-        from tests.runtime.test_static_identity import MIXED
-
-        for source, kwargs in ((RACY, {}), (RACY, {"static": False}),
-                               (MIXED, {}), (MIXED, {"static": False})):
-            a = _run(source, backend="interp", **kwargs)
-            b = _run(source, backend="compiled", **kwargs)
-            assert a.stats.sites == b.stats.sites
-            assert a.stats.steps_total == b.stats.steps_total
 
     def test_ablations_shift_kinds_not_totals(self):
         """static off turns elided checks into full walks; the site

@@ -3,8 +3,8 @@
 These pin the *marking* behaviour: which dynamic checks get the
 ``elide`` hint, which array walks get the ``range`` hint, and what the
 instrumented listing shows for both.  The run-time half — that consuming
-the marks never changes reports, steps, or scheduling — lives in
-``tests/runtime/test_static_identity.py``."""
+the marks never changes reports, steps, or scheduling — is the identity
+oracle's (``tests/runtime/test_identity_oracle.py``)."""
 
 from repro.cfront import cast as A
 from repro.sharc.checkelim import mark_elisions
@@ -20,9 +20,9 @@ def _marks(checked):
                 info = getattr(e, attr, None)
                 if info is None:
                     continue
-                if getattr(e, "sharc_check_elided", False):
+                if info.elide:
                     elided.append(info.lvalue_text)
-                if getattr(e, "sharc_range_check", False):
+                if info.range_walk:
                     ranged.append(info.lvalue_text)
     return elided, ranged
 

@@ -444,7 +444,9 @@ class TestSummaryFallback:
                          {})
         # Two rounds are not enough for the f <-> g cycle: the `else`
         # fallback fires, but must leave h's converged summary alone.
-        summaries = _compute_summaries(walker, funcs, rounds=2)
+        summaries, unconverged = _compute_summaries(walker, funcs,
+                                                    rounds=2)
+        assert unconverged == ("f", "g")
         assert summaries["f"] == Summary(kill_all=True, taint=True)
         assert summaries["g"] == Summary(kill_all=True, taint=True)
         assert summaries["h"] == Summary(plus=frozenset(["a"]))
