@@ -13,7 +13,7 @@ writes ``BENCH_explore.json`` (schema ``sharc-bench-explore/1``):
 - **campaign**: the sharded :func:`repro.explore.campaign.run_campaign`
   engine — compiled backend, attribution sampled 1-in-``sites_every``,
   leased shards of ``shard_size`` seeds with a durable fold (lease log,
-  shard files, trace corpus).
+  shard files).
 
 Both modes fan out through the same batch worker (source shipped once
 per worker, per-batch IPC, per-worker check and compile caches), so

@@ -244,10 +244,6 @@ class FuncDef:
     body: Optional[Compound] = None
     loc: Loc = field(default_factory=Loc)
 
-    @property
-    def is_prototype(self) -> bool:
-        return self.body is None
-
 
 @dataclass
 class StructDef:

@@ -220,10 +220,6 @@ class QualType:
         return isinstance(self.base, StructType)
 
     @property
-    def is_func(self) -> bool:
-        return isinstance(self.base, FuncType)
-
-    @property
     def is_void_ptr(self) -> bool:
         return (isinstance(self.base, PtrType)
                 and isinstance(self.base.target.base, Prim)

@@ -26,10 +26,10 @@ Subcommands mirror how the paper's tool is used:
   (``--replay``); ``--metrics-out`` writes a schema-validated
   ``metrics.json`` aggregating the sweep;
 - ``sharc campaign DIR`` — the fleet-scale tier above ``explore``: a
-  resumable sharded sweep over many workloads with batched worker IPC,
-  an on-disk deduplicating trace corpus, and coverage-guided budget
-  allocation; kill it any time and ``--resume DIR`` continues from the
-  last completed shard with a bit-identical final summary;
+  resumable sharded sweep over many workloads with batched worker IPC
+  and coverage-guided budget allocation; kill it any time and
+  ``--resume DIR`` continues from the last completed shard with a
+  bit-identical final summary;
 - ``sharc status DIR``   — live (or final) view of an explore/fuzz
   campaign from its crash-safe ``telemetry.jsonl`` stream
   (``--watch`` keeps redrawing, ``--json`` emits the folded status);
@@ -321,6 +321,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         differential_sweep, explore_source, load_artifact, racy_c_program,
         replay_artifact, save_artifact, shrink_failure,
     )
+    from repro.explore.driver import _checked_program
 
     if args.replay:
         payload = load_artifact(args.replay)
@@ -401,7 +402,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
         from repro.obs import MetricsRegistry, write_metrics
 
         registry = MetricsRegistry()
-        registry.lockset_unconverged = len(check_source(
+        # the sweep's fail-fast check already cached the program
+        registry.lockset_unconverged = len(_checked_program(
             source, filename).lockset_result.unconverged)
         for one in sweeps:
             registry.record_sweep(one)
@@ -947,10 +949,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "campaign",
         help="resumable sharded sweep over workloads/files: batched "
-             "worker IPC, on-disk deduplicating trace corpus, "
-             "coverage-guided budget allocation")
+             "worker IPC, coverage-guided budget allocation")
     p.add_argument("dir",
-                   help="campaign directory (queue, corpus, telemetry, "
+                   help="campaign directory (queue, shards, telemetry, "
                         "summary all live here)")
     p.add_argument("file", nargs="*", default=None,
                    help="mini-C sources to sweep")

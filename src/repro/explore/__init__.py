@@ -21,12 +21,11 @@ deterministic scheduler into a search tool:
 - :mod:`repro.explore.differential` — run the same schedules under the
   SharC checker and the Eraser lockset baseline and report
   disagreements as replay seeds;
-- :mod:`repro.explore.campaign` (+ :mod:`~repro.explore.corpus`,
-  :mod:`~repro.explore.queue`) — the batch worker every sweep fans out
-  through (source shipped once per worker, per-batch IPC), and on top
-  of it resumable sharded campaigns: an on-disk deduplicating trace
-  corpus, a crash-safe work queue, and coverage-guided budget
-  allocation.
+- :mod:`repro.explore.campaign` (+ :mod:`~repro.explore.queue`) — the
+  batch worker every sweep fans out through (source shipped once per
+  worker, per-batch IPC), and on top of it resumable sharded campaigns:
+  a crash-safe work queue whose shard files record every trace, and
+  coverage-guided budget allocation.
 
 CLI: ``sharc explore`` / ``sharc campaign`` (see ``--help``).
 """
@@ -34,7 +33,6 @@ CLI: ``sharc explore`` / ``sharc campaign`` (see ``--help``).
 from repro.explore.campaign import (
     CampaignConfig, CampaignSummary, CampaignTarget, run_campaign,
 )
-from repro.explore.corpus import BloomFilter, TraceCorpus
 from repro.explore.queue import WorkQueue
 from repro.explore.driver import (
     ExplorationSummary, ScheduleOutcome, explore_source, explore_workload,
@@ -51,7 +49,6 @@ from repro.explore.differential import (
 
 __all__ = [
     "BackendDivergence",
-    "BloomFilter",
     "CampaignConfig",
     "CampaignSummary",
     "CampaignTarget",
@@ -60,7 +57,6 @@ __all__ = [
     "ExplorationSummary",
     "ScheduleOutcome",
     "ShrinkResult",
-    "TraceCorpus",
     "WorkQueue",
     "differential_sweep",
     "explore_source",

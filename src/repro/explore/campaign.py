@@ -20,14 +20,15 @@ several times faster per schedule.
 **Durability.**  Work is carved into *shards* — contiguous seed ranges
 of one ``(target, policy)`` cell — leased through the append-only
 :class:`repro.explore.queue.WorkQueue` and folded strictly in lease
-order.  Each shard's result is written atomically before its ``done``
-record; the distinct-trace set lives in the on-disk
-:class:`repro.explore.corpus.TraceCorpus`, flushed per shard.  A killed
+order.  Each shard's result, which carries the trace hash of every
+schedule it ran, is written atomically before its ``done`` record; the
+shard files are the campaign's one durable record of traces.  A killed
 campaign resumes with ``sharc campaign --resume DIR``: the completed
 prefix is refolded from disk (schedules are deterministic, so refolds
-reproduce the live fold exactly) and the run continues from the first
-missing shard.  The final summary is **bit-identical** to an
-uninterrupted run — property-tested across kill points and backends.
+reproduce the live fold, distinct-trace set included, exactly) and the
+run continues from the first missing shard.  The final summary is
+**bit-identical** to an uninterrupted run — property-tested across kill
+points and backends.
 
 **Coverage-guided scheduling.**  Budget beyond the first round-robin
 pass flows to the ``(target, policy)`` cells whose recent
@@ -50,19 +51,18 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from repro.explore.corpus import TraceCorpus
 from repro.explore.driver import (
-    DEFAULT_MAX_STEPS, DEFAULT_POLICIES, DEFAULT_SHADOW_BYTES,
-    ScheduleOutcome, _checked_program, _resolve_policies,
-    _source_hash, run_schedule,
+    DEFAULT_MAX_STEPS, DEFAULT_POLICIES, ScheduleOutcome,
+    _checked_program, _resolve_policies, _source_hash, run_schedule,
 )
 from repro.explore.queue import WorkQueue
 
 #: shard rows carry encoded site counters in the current
 #: :data:`repro.obs.sitestats.SITE_FIELDS` layout; bump both tags when
 #: it changes, so :func:`load_manifest` refuses an older directory
-#: rather than merge rows of two layouts
-CAMPAIGN_SCHEMA = "sharc-campaign/2"
+#: rather than merge rows of two layouts; the manifest tag also moves
+#: when its config fields do
+CAMPAIGN_SCHEMA = "sharc-campaign/3"
 SHARD_SCHEMA = "sharc-campaign-shard/2"
 
 #: default shard size: large enough to amortize fold/flush overhead,
@@ -79,7 +79,6 @@ DEFAULT_SITES_EVERY = 8
 RATE_WINDOW = 4
 
 MANIFEST_NAME = "campaign.json"
-CORPUS_NAME = "corpus.txt"
 SUMMARY_NAME = "summary.json"
 
 
@@ -145,8 +144,6 @@ class CampaignConfig:
     policies: tuple[str, ...] = DEFAULT_POLICIES
     checker: str = "sharc"
     backend: str = "compiled"
-    max_burst: int = 8
-    shadow_bytes: int = DEFAULT_SHADOW_BYTES
     sites_every: int = DEFAULT_SITES_EVERY
     seed_start: int = 0
 
@@ -155,8 +152,6 @@ class CampaignConfig:
             "budget": self.budget, "shard_size": self.shard_size,
             "jobs": self.jobs, "policies": list(self.policies),
             "checker": self.checker, "backend": self.backend,
-            "max_burst": self.max_burst,
-            "shadow_bytes": self.shadow_bytes,
             "sites_every": self.sites_every,
             "seed_start": self.seed_start,
         }
@@ -169,8 +164,6 @@ class CampaignConfig:
             jobs=int(data.get("jobs", 1)),
             policies=tuple(data["policies"]),
             checker=data["checker"], backend=data["backend"],
-            max_burst=int(data["max_burst"]),
-            shadow_bytes=int(data["shadow_bytes"]),
             sites_every=int(data["sites_every"]),
             seed_start=int(data.get("seed_start", 0)))
 
@@ -223,9 +216,8 @@ def _run_shard_batch(task: tuple) -> tuple:
             out = run_schedule(
                 target["source"], target["filename"], seed, policy,
                 settings["checker"], target["max_steps"],
-                settings["max_burst"], target["world_factory"],
-                settings["shadow_bytes"],
-                backend=settings["backend"], collect_sites=collect)
+                target["world_factory"], backend=settings["backend"],
+                collect_sites=collect)
         except Exception as exc:  # noqa: BLE001 - sweep survival
             # A crashing schedule (interpreter bug, bad world) becomes
             # an error row; its empty trace keeps it out of coverage.
@@ -278,8 +270,8 @@ def _cell_batches(label: str, policy: str, seed_start: int, seeds: int,
 
 
 def _start_workers(targets: Sequence[CampaignTarget], jobs: int, *,
-                   checker: str, max_burst: int, shadow_bytes: int,
-                   backend: Optional[str], sites_every: int):
+                   checker: str, backend: Optional[str],
+                   sites_every: int):
     """Initialises the batch worker with every target's source and the
     sweep settings: a pool of ``jobs`` processes when ``jobs > 1``
     (returned; the caller terminates it), else this process (returns
@@ -289,8 +281,7 @@ def _start_workers(targets: Sequence[CampaignTarget], jobs: int, *,
                   "max_steps": t.max_steps,
                   "world_factory": t.world_factory}
         for t in targets}
-    settings = {"checker": checker, "max_burst": max_burst,
-                "shadow_bytes": shadow_bytes, "backend": backend,
+    settings = {"checker": checker, "backend": backend,
                 "sites_every": sites_every}
     if jobs > 1:
         return multiprocessing.Pool(
@@ -618,27 +609,29 @@ def _run_shard(shard: dict, pool, jobs: int) -> dict:
 
 
 def _fold_shard(summary: CampaignSummary, lease: dict, payload: dict,
-                corpus: TraceCorpus, telemetry=None) -> int:
-    """Folds one shard payload into the summary + corpus and returns
-    how many of its traces were new.  Rows fold in seed order; this is
-    the ONE fold path — live shards and resume refolds both go through
-    it, which is what makes resumed summaries bit-identical."""
+                traces: set, telemetry=None) -> int:
+    """Folds one shard payload into the summary and the distinct-trace
+    set ``traces`` and returns how many of its traces were new.  Rows
+    fold in seed order; this is the ONE fold path — live shards and
+    resume refolds both go through it, which is what makes resumed
+    summaries bit-identical."""
     from repro.obs.sitestats import merge_sites
 
     label, policy = lease["label"], lease["policy"]
     new_traces = 0
     for row in sorted(payload["rows"], key=lambda r: r["seed"]):
         outcome = _row_outcome(row, policy, summary.checker)
-        is_new = bool(outcome.trace_hash) and corpus.add(
-            outcome.trace_hash)
+        is_new = (bool(outcome.trace_hash)
+                  and outcome.trace_hash not in traces)
         if is_new:
+            traces.add(outcome.trace_hash)
             new_traces += 1
         summary.add(label, outcome, is_new)
         if telemetry is not None:
             telemetry.record_outcome(outcome)
     if payload.get("sites"):
         merge_sites(summary.site_totals, payload["sites"])
-    summary.distinct_traces = len(corpus)
+    summary.distinct_traces = len(traces)
     summary.shards_done += 1
     return new_traces
 
@@ -687,8 +680,7 @@ def run_campaign(targets: Optional[Sequence[CampaignTarget]],
         for target in targets:
             resolved[target.label] = _resolve_policies(
                 config.policies, target.source, target.filename,
-                config.checker, target.max_steps, config.max_burst,
-                target.world_factory, config.shadow_bytes,
+                config.checker, target.max_steps, target.world_factory,
                 config.backend)
         _write_manifest(directory, targets, config, resolved)
 
@@ -699,20 +691,20 @@ def run_campaign(targets: Optional[Sequence[CampaignTarget]],
         directory=directory, budget=config.budget,
         checker=config.checker, backend=config.backend,
         policies=all_policies, labels=labels)
-    corpus = TraceCorpus(os.path.join(directory, CORPUS_NAME))
+    traces: set = set()
     cells = [_Cell(label=label, policy=policy,
                    next_seed=config.seed_start)
              for label in labels for policy in resolved[label]]
     cell_index = {(c.label, c.policy): c for c in cells}
 
     # Refold the completed prefix, in lease order, through the same
-    # fold path live shards use.  The corpus working set starts empty,
-    # so per-shard new-trace counts — and therefore every subsequent
+    # fold path live shards use.  The trace set starts empty, so
+    # per-shard new-trace counts — and therefore every subsequent
     # coverage-guided pick — replay exactly.
     scheduled = 0
     for lease in queue.completed():
         payload = queue.load_shard(lease["shard"])
-        new = _fold_shard(summary, lease, payload, corpus)
+        new = _fold_shard(summary, lease, payload, traces)
         cell = cell_index[(lease["label"], lease["policy"])]
         cell.record(lease["seeds"], new)
         cell.next_seed = max(cell.next_seed,
@@ -734,9 +726,7 @@ def run_campaign(targets: Optional[Sequence[CampaignTarget]],
     try:
         pool = _start_workers(
             targets, config.jobs, checker=config.checker,
-            max_burst=config.max_burst,
-            shadow_bytes=config.shadow_bytes, backend=config.backend,
-            sites_every=config.sites_every)
+            backend=config.backend, sites_every=config.sites_every)
         while scheduled < config.budget:
             if stop_after is not None and shards_run >= stop_after:
                 break
@@ -747,9 +737,8 @@ def run_campaign(targets: Optional[Sequence[CampaignTarget]],
                      "seed_start": cell.next_seed, "seeds": seeds}
             queue.lease(shard, rate=rate, picked=shard_id)
             payload = _run_shard(shard, pool, config.jobs)
-            new = _fold_shard(summary, shard, payload, corpus,
+            new = _fold_shard(summary, shard, payload, traces,
                               telemetry=telemetry)
-            corpus.flush()
             queue.write_shard(shard_id, payload)
             queue.mark_done(shard_id)
             cell.record(seeds, new)

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.explore.driver import (
-    DEFAULT_MAX_STEPS, ExplorationSummary, explore_source,
+    DEFAULT_MAX_STEPS, ExplorationSummary, _checked_program,
+    explore_source,
 )
 
 
@@ -229,7 +230,6 @@ def differential_sweep(source: str, filename: str = "<input>", *,
                        policies: Sequence[str] = ("random", "pct"),
                        jobs: int = 1,
                        max_steps: int = DEFAULT_MAX_STEPS,
-                       max_burst: int = 8,
                        world_factory: Optional[Callable] = None,
                        backend: Optional[str] = None,
                        telemetry=None,
@@ -243,10 +243,8 @@ def differential_sweep(source: str, filename: str = "<input>", *,
     interrupt during the sharc sweep skips the eraser sweep entirely
     and returns a partial summary instead of starting a second
     uninterruptible grid."""
-    from repro.sharc.checker import check_source
-
     common = dict(seeds=seeds, seed_start=seed_start, policies=policies,
-                  jobs=jobs, max_steps=max_steps, max_burst=max_burst,
+                  jobs=jobs, max_steps=max_steps,
                   world_factory=world_factory, backend=backend,
                   telemetry=telemetry, progress=progress)
     sharc = explore_source(source, filename, checker="sharc", **common)
@@ -257,11 +255,10 @@ def differential_sweep(source: str, filename: str = "<input>", *,
     else:
         eraser = explore_source(source, filename, checker="eraser",
                                 **common)
-    try:
-        checked = check_source(source, filename)
-        static_keys = tuple(checked.lockset_result.race_keys)
-    except Exception:
-        static_keys = ()  # unparseable input still gets a dynamic diff
+    # the sharc sweep has already checked the program (it fails fast
+    # on one that does not check) into the cache
+    static_keys = tuple(
+        _checked_program(source, filename).lockset_result.race_keys)
     flagged = bool(static_keys)
     summary = DifferentialSummary(
         sharc=sharc, eraser=eraser, static_keys=static_keys,

@@ -37,8 +37,10 @@ DEFAULT_MAX_STEPS = 200_000
 #: generated racy programs spawn aggressively (duplicate spawns widen
 #: the interleaving space), and a 1-byte shadow word caps the run at 7
 #: threads (the paper's 8n-1 encoding) — aborting mid-schedule would
-#: masquerade as a scheduling effect, so exploration runs 2-byte shadow
-#: words (15-thread capacity) by default
+#: masquerade as a scheduling effect, so exploration, shrinking and
+#: replay run 2-byte shadow words (15-thread capacity).  Together with
+#: the scheduler's default burst cap this is the one executor setting
+#: of every sweep.
 DEFAULT_SHADOW_BYTES = 2
 
 DEFAULT_POLICIES = ("random", "pct", "pb")
@@ -258,7 +260,7 @@ class _LRU(OrderedDict):
 _CHECK_CACHE = _LRU()
 
 #: measured serial-run horizons, keyed by
-#: ``(source hash, checker, max_steps, max_burst, shadow_bytes)`` —
+#: ``(source hash, checker, max_steps)`` —
 #: campaign shards and repeated sweeps of the same source reuse the one
 #: probe run instead of each paying it (see :func:`_resolve_policies`)
 _HORIZON_CACHE = _LRU()
@@ -292,7 +294,6 @@ def trace_hash(trace: Sequence[tuple[int, int]]) -> str:
 def run_schedule(source: str, filename: str, seed: int, policy: str,
                  checker: str = "sharc",
                  max_steps: int = DEFAULT_MAX_STEPS,
-                 max_burst: int = 8,
                  world_factory: Optional[Callable] = None,
                  shadow_bytes: int = DEFAULT_SHADOW_BYTES,
                  static: bool = True,
@@ -309,7 +310,9 @@ def run_schedule(source: str, filename: str, seed: int, policy: str,
 
     ``collect_sites=False`` skips encoding the per-check-site
     attribution into the outcome, so campaign workers can sample it
-    1-in-N.  Every other field is unaffected."""
+    1-in-N.  Every other field is unaffected.  ``shadow_bytes`` is
+    for the identity oracle, which compares a sweep schedule with a
+    plain ``run_checked`` at the runtime's 1-byte default."""
     from repro.obs.sitestats import encode_sites
     from repro.runtime.interp import run_checked
 
@@ -317,8 +320,7 @@ def run_schedule(source: str, filename: str, seed: int, policy: str,
     world = world_factory() if world_factory is not None else None
     result = run_checked(checked, seed=seed, policy=policy,
                          checker=checker, max_steps=max_steps,
-                         max_burst=max_burst, world=world,
-                         shadow_bytes=shadow_bytes,
+                         world=world, shadow_bytes=shadow_bytes,
                          static=static,
                          record_trace=True, backend=backend)
     trace = result.trace or []
@@ -344,9 +346,7 @@ def run_schedule(source: str, filename: str, seed: int, policy: str,
 
 def _resolve_policies(policies: Sequence[str], source: str,
                       filename: str, checker: str, max_steps: int,
-                      max_burst: int,
                       world_factory: Optional[Callable],
-                      shadow_bytes: int = DEFAULT_SHADOW_BYTES,
                       backend: Optional[str] = None,
                       ) -> tuple[str, ...]:
     """Pins PCT's horizon to the measured program length.
@@ -363,7 +363,7 @@ def _resolve_policies(policies: Sequence[str], source: str,
 
     The probe runs on the sweep's ``backend``.  The measured horizon is
     cached alongside ``_CHECK_CACHE``, keyed by ``(source hash, checker,
-    max_steps, max_burst, shadow_bytes)`` — not by backend, since runs
+    max_steps)`` — not by backend, since runs
     are backend-invariant — so repeated sweeps of the same source,
     campaign shards above all, pay the serial probe run exactly once
     per process.
@@ -377,8 +377,7 @@ def _resolve_policies(policies: Sequence[str], source: str,
 
     if not any(needs_horizon(p) for p in policies):
         return tuple(policies)
-    cache_key = (_source_hash(source), checker, max_steps, max_burst,
-                 shadow_bytes)
+    cache_key = (_source_hash(source), checker, max_steps)
     horizon = _HORIZON_CACHE.get(cache_key)
     if horizon is None:
         checked = _checked_program(source, filename)
@@ -386,8 +385,8 @@ def _resolve_policies(policies: Sequence[str], source: str,
         try:
             probe = run_checked(checked, seed=0, policy="serial",
                                 checker=checker, max_steps=max_steps,
-                                max_burst=max_burst, world=world,
-                                shadow_bytes=shadow_bytes,
+                                world=world,
+                                shadow_bytes=DEFAULT_SHADOW_BYTES,
                                 record_trace=True, backend=backend)
         except CompileError:
             return tuple(policies)  # every schedule records the error
@@ -413,9 +412,7 @@ def explore_source(source: str, filename: str = "<input>", *,
                    policies: Sequence[str] = DEFAULT_POLICIES,
                    checker: str = "sharc", jobs: int = 1,
                    max_steps: int = DEFAULT_MAX_STEPS,
-                   max_burst: int = 8,
                    world_factory: Optional[Callable] = None,
-                   shadow_bytes: int = DEFAULT_SHADOW_BYTES,
                    backend: Optional[str] = None,
                    telemetry=None,
                    progress: Optional[Callable] = None,
@@ -451,8 +448,7 @@ def explore_source(source: str, filename: str = "<input>", *,
         _checked_program(source, filename)  # fail fast, warm the cache
     with summary.profiler.phase("resolve-policies"):
         policies = _resolve_policies(policies, source, filename,
-                                     checker, max_steps, max_burst,
-                                     world_factory, shadow_bytes,
+                                     checker, max_steps, world_factory,
                                      backend)
     summary.policies = policies
     total = seeds * len(policies)
@@ -471,9 +467,7 @@ def explore_source(source: str, filename: str = "<input>", *,
                 [campaign.CampaignTarget(
                     label=filename, source=source, filename=filename,
                     max_steps=max_steps, world_factory=world_factory)],
-                jobs, checker=checker, max_burst=max_burst,
-                shadow_bytes=shadow_bytes, backend=backend,
-                sites_every=1)
+                jobs, checker=checker, backend=backend, sites_every=1)
             results = campaign._run_batches(batches, pool)
             for (_, policy, _, _), (_, rows, sites) in zip(batches,
                                                            results):

@@ -28,7 +28,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-ARTIFACT_VERSION = 1
+from repro.explore.driver import DEFAULT_SHADOW_BYTES, _checked_program
+
+#: :func:`load_artifact` refuses every other version.  Shrink and replay
+#: run the sweep's one executor setting without a simulated I/O world,
+#: so an artifact records neither.
+ARTIFACT_VERSION = 2
 
 
 @dataclass
@@ -48,10 +53,7 @@ class ShrinkResult:
     replays: int = 0
     source: str = ""
     filename: str = "<input>"
-    workload: Optional[str] = None
     max_steps: int = 0
-    max_burst: int = 8
-    shadow_bytes: int = 2
     notes: list[str] = field(default_factory=list)
 
     @property
@@ -78,18 +80,16 @@ class ShrinkResult:
 
 
 def _replay(checked, trace: Sequence[tuple[int, int]], *,
-            checker: str, max_steps: int, max_burst: int,
-            world_factory: Optional[Callable], shadow_bytes: int = 2,
-            obs_trace=None, backend: Optional[str] = None):
+            checker: str, max_steps: int, obs_trace=None,
+            backend: Optional[str] = None):
     from repro.runtime.interp import run_checked
     from repro.runtime.scheduler import ReplayPolicy
 
-    world = world_factory() if world_factory is not None else None
     return run_checked(checked, seed=0, policy=ReplayPolicy(list(trace)),
                        checker=checker, max_steps=max_steps,
-                       max_burst=max_burst, world=world,
-                       shadow_bytes=shadow_bytes, record_trace=True,
-                       trace=obs_trace, backend=backend)
+                       shadow_bytes=DEFAULT_SHADOW_BYTES,
+                       record_trace=True, trace=obs_trace,
+                       backend=backend)
 
 
 def _ddmin(entries: list, reproduces: Callable[[list], bool]) -> list:
@@ -119,10 +119,7 @@ def _ddmin(entries: list, reproduces: Callable[[list], bool]) -> list:
 def shrink_failure(source: str, filename: str = "<input>", *,
                    seed: int, policy: str, checker: str = "sharc",
                    target_keys: Optional[Sequence[str]] = None,
-                   max_steps: int = 200_000, max_burst: int = 8,
-                   world_factory: Optional[Callable] = None,
-                   shadow_bytes: int = 2,
-                   workload: Optional[str] = None,
+                   max_steps: int = 200_000,
                    backend: Optional[str] = None) -> ShrinkResult:
     """Minimizes the failing schedule ``(seed, policy)`` of ``source``.
 
@@ -132,17 +129,13 @@ def shrink_failure(source: str, filename: str = "<input>", *,
     recorded trace does not reproduce under replay (which would indicate
     nondeterminism — a bug worth hearing about loudly).
     """
-    from repro.explore.driver import _checked_program
-
-    checked = _checked_program(source, filename)
-    world = world_factory() if world_factory is not None else None
     from repro.runtime.interp import run_checked
 
+    checked = _checked_program(source, filename)
     original = run_checked(checked, seed=seed, policy=policy,
                            checker=checker, max_steps=max_steps,
-                           max_burst=max_burst, world=world,
-                           shadow_bytes=shadow_bytes, record_trace=True,
-                           backend=backend)
+                           shadow_bytes=DEFAULT_SHADOW_BYTES,
+                           record_trace=True, backend=backend)
     if not original.reports:
         raise ValueError(
             f"seed={seed} policy={policy} does not fail; nothing to "
@@ -157,16 +150,12 @@ def shrink_failure(source: str, filename: str = "<input>", *,
     result = ShrinkResult(
         seed=seed, policy=policy, checker=checker, report_keys=keys,
         original_trace=original_trace, trace=list(original_trace),
-        source=source, filename=filename, workload=workload,
-        max_steps=max_steps, max_burst=max_burst,
-        shadow_bytes=shadow_bytes)
+        source=source, filename=filename, max_steps=max_steps)
 
     def reproduces(trace: list) -> bool:
         result.replays += 1
         replayed = _replay(checked, trace, checker=checker,
-                           max_steps=max_steps, max_burst=max_burst,
-                           world_factory=world_factory,
-                           shadow_bytes=shadow_bytes, backend=backend)
+                           max_steps=max_steps, backend=backend)
         return all(k in replayed.report_counts for k in keys)
 
     if not reproduces(original_trace):
@@ -178,9 +167,7 @@ def shrink_failure(source: str, filename: str = "<input>", *,
     # often lets the serial tail absorb trailing bursts, so the trace
     # actually executed can be shorter still than the ddmin survivor.
     final = _replay(checked, result.trace, checker=checker,
-                    max_steps=max_steps, max_burst=max_burst,
-                    world_factory=world_factory,
-                    shadow_bytes=shadow_bytes, backend=backend)
+                    max_steps=max_steps, backend=backend)
     executed = list(final.trace or [])
     if executed and all(k in final.report_counts for k in keys) and \
             len(executed) <= len(result.trace):
@@ -205,7 +192,6 @@ def save_artifact(result: ShrinkResult, path: str,
         "version": ARTIFACT_VERSION,
         "kind": "sharc-schedule",
         "filename": result.filename,
-        "workload": result.workload,
         "checker": result.checker,
         "seed": result.seed,
         "policy": result.policy,
@@ -213,8 +199,6 @@ def save_artifact(result: ShrinkResult, path: str,
         "original_trace": [list(e) for e in result.original_trace],
         "trace": [list(e) for e in result.trace],
         "max_steps": result.max_steps,
-        "max_burst": result.max_burst,
-        "shadow_bytes": result.shadow_bytes,
         "source": result.source,
         "notes": list(result.notes),
     }
@@ -240,9 +224,8 @@ def load_artifact(path: str) -> dict:
     return payload
 
 
-def replay_artifact(payload: dict,
-                    world_factory: Optional[Callable] = None,
-                    obs_trace=None, backend: Optional[str] = None):
+def replay_artifact(payload: dict, obs_trace=None,
+                    backend: Optional[str] = None):
     """Replays a loaded artifact's minimal trace and returns the
     :class:`repro.runtime.interp.RunResult`.  ``obs_trace`` (a
     :class:`repro.obs.events.TraceConfig`) additionally records
@@ -250,18 +233,9 @@ def replay_artifact(payload: dict,
     rendered as a Perfetto timeline (``sharc trace artifact.json``).
     ``backend`` picks the executor — artifacts are backend-invariant, so
     the corpus regression suite replays each one under both."""
-    from repro.explore.driver import _checked_program
-
-    if world_factory is None and payload.get("workload"):
-        from repro.bench.workloads import get_workload
-
-        world_factory = get_workload(payload["workload"]).world_factory
     checked = _checked_program(payload["source"],
                                payload.get("filename", "<artifact>"))
     trace = [tuple(e) for e in payload["trace"]]
     return _replay(checked, trace, checker=payload.get("checker", "sharc"),
                    max_steps=payload.get("max_steps", 200_000),
-                   max_burst=payload.get("max_burst", 8),
-                   world_factory=world_factory,
-                   shadow_bytes=payload.get("shadow_bytes", 2),
                    obs_trace=obs_trace, backend=backend)

@@ -160,18 +160,6 @@ class RaceSpec:
     #: the values each injected write stores (distinct, for debugging)
     values: tuple[int, int]
 
-    def matches_report(self, report) -> bool:
-        """True when a :class:`repro.sharc.reports.Report` from the
-        dynamic checker (or the Eraser baseline) flags the injected
-        race's cell."""
-        kinds = {"read conflict", "write conflict", "lock not held"}
-        if report.kind.value not in kinds:
-            return False
-        if report.who.lvalue == self.global_name:
-            return True
-        return (report.last is not None
-                and report.last.lvalue == self.global_name)
-
     def matches_key(self, key: str) -> bool:
         """Same test against an interp ``report_counts`` key
         (``"<kind> <lvalue>@<line>"`` — the kind is multi-word, e.g.

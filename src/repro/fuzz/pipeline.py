@@ -63,7 +63,6 @@ class FuzzConfig:
     gen_seed: int = 0
     jobs: int = 1
     max_steps: int = 120_000
-    max_burst: int = 8
     racy_fraction: float = 0.5
     #: ddmin-shrink false positives / divergences into artifacts
     shrink: bool = True
@@ -269,8 +268,7 @@ def _shrink_and_save(scenario: Scenario, outcome, config: FuzzConfig,
             seed=outcome.seed, policy=outcome.policy,
             checker=outcome.checker,
             target_keys=outcome.report_keys,
-            max_steps=config.max_steps, max_burst=config.max_burst,
-            backend=backend)
+            max_steps=config.max_steps, backend=backend)
     except Exception:  # pragma: no cover - shrink is best-effort
         return None
     os.makedirs(config.out_dir, exist_ok=True)
@@ -297,8 +295,7 @@ def fuzz_scenario(scenario: Scenario, config: FuzzConfig,
     the PCT horizon probe the sweeps share runs compiled."""
     common = dict(seeds=config.seeds, seed_start=config.seed_start,
                   policies=config.policies, jobs=config.jobs,
-                  max_steps=config.max_steps,
-                  max_burst=config.max_burst, telemetry=telemetry)
+                  max_steps=config.max_steps, telemetry=telemetry)
     src, fname = scenario.source, scenario.filename
     sharc_c = explore_source(src, fname, checker="sharc",
                              backend="compiled", **common)

@@ -51,9 +51,6 @@ def reshrink_artifact(payload: dict, *,
         checker=payload.get("checker", "sharc"),
         target_keys=payload.get("report_keys"),
         max_steps=payload.get("max_steps"),
-        max_burst=payload.get("max_burst", 8),
-        shadow_bytes=payload.get("shadow_bytes"),
-        workload=payload.get("workload"),
         backend=backend)
 
 

@@ -4,8 +4,8 @@ The paper's central artifact is a *diagnostic* — Section 2.1's conflict
 reports tell the programmer who raced with whom.  This package makes
 every run, check, and sweep inspectable after the fact:
 
-- :mod:`repro.obs.events` — a bounded, sampled, category-filtered event
-  bus the runtime (interpreter, scheduler, shadow checker, lock table,
+- :mod:`repro.obs.events` — a bounded, category-filtered event bus
+  the runtime (interpreter, scheduler, shadow checker, lock table,
   refcount engine) emits typed events into.  Tracing-off runs are
   bit-identical to untraced ones (steps, reports, rng sequence);
   timestamps are deterministic interpreter steps.

@@ -3,8 +3,8 @@
 The runtime (interpreter, scheduler, shadow checker, lock table,
 refcount engine) emits *typed events* — context switches, access checks,
 conflicts, lock operations, RC epoch flips, sharing casts, thread
-lifecycle — into a :class:`TraceBus`: a bounded ring buffer with
-per-category sampling.
+lifecycle — into a :class:`TraceBus`: a bounded ring buffer filtered
+by category.
 
 Design constraints, in order:
 
@@ -18,8 +18,7 @@ Design constraints, in order:
    bus's ``clock``, not wall time — so the same seed yields the same
    trace on any machine, and traces are diffable/testable.
 3. **Bounded.**  The ring holds at most ``buffer_size`` events (oldest
-   dropped first); per-category sampling (keep 1 of every *n*) uses a
-   plain counter, again never the rng.
+   dropped first).
 
 Categories (the ``--trace-filter`` vocabulary)::
 
@@ -34,7 +33,7 @@ Categories (the ``--trace-filter`` vocabulary)::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections import deque
 from typing import Callable, Optional
 
@@ -103,18 +102,11 @@ class Event:
 
 @dataclass(frozen=True)
 class TraceConfig:
-    """How one run's tracing behaves.
-
-    ``categories`` of None means "everything"; ``sample`` maps a
-    category to *n* meaning "keep one event in every n" (counter-based,
-    deterministic); ``history_depth`` sizes the per-granule
-    access-history ring feeding conflict-report provenance.
-    """
+    """How one run's tracing behaves: ``categories`` of None means
+    "everything"; ``buffer_size`` bounds the event ring."""
 
     categories: Optional[frozenset] = None
     buffer_size: int = 65536
-    sample: dict = field(default_factory=dict)
-    history_depth: int = 8
 
     def __post_init__(self) -> None:
         if self.categories is not None:
@@ -124,15 +116,10 @@ class TraceConfig:
                     f"unknown trace categories: {', '.join(unknown)}")
         if self.buffer_size < 1:
             raise ValueError("buffer_size must be >= 1")
-        for cat, n in self.sample.items():
-            if cat not in _CATEGORY_SET:
-                raise ValueError(f"unknown sample category {cat!r}")
-            if int(n) < 1:
-                raise ValueError(f"sample rate for {cat!r} must be >= 1")
 
 
 class TraceBus:
-    """The bounded, category-filtered, sampled event ring."""
+    """The bounded, category-filtered event ring."""
 
     def __init__(self, config: Optional[TraceConfig] = None,
                  clock: Optional[Callable[[], int]] = None) -> None:
@@ -140,14 +127,6 @@ class TraceBus:
         self.clock = clock if clock is not None else (lambda: 0)
         self._ring: deque = deque(maxlen=self.config.buffer_size)
         self._wanted = self.config.categories  # None = all
-        self._sample = {cat: int(n)
-                        for cat, n in self.config.sample.items()
-                        if int(n) > 1}
-        #: per-category deterministic sampling counters
-        self._seen: dict[str, int] = {}
-        #: accounting: emitted into the ring / dropped by sampling
-        self.emitted: dict[str, int] = {}
-        self.sampled_out: dict[str, int] = {}
 
     def wants(self, cat: str) -> bool:
         """Cheap pre-test so emitters can skip arg construction."""
@@ -155,19 +134,11 @@ class TraceBus:
 
     def emit(self, cat: str, name: str, tid: int, dur: int = 0,
              ts: Optional[int] = None, **args) -> None:
-        """Appends one event (subject to the filter and sampling).
-        ``ts`` defaults to the bus clock; span emitters that only know
-        their start time after the fact pass it explicitly."""
+        """Appends one event (subject to the filter).  ``ts`` defaults
+        to the bus clock; span emitters that only know their start time
+        after the fact pass it explicitly."""
         if self._wanted is not None and cat not in self._wanted:
             return
-        rate = self._sample.get(cat)
-        if rate is not None:
-            seen = self._seen.get(cat, 0)
-            self._seen[cat] = seen + 1
-            if seen % rate:
-                self.sampled_out[cat] = self.sampled_out.get(cat, 0) + 1
-                return
-        self.emitted[cat] = self.emitted.get(cat, 0) + 1
         self._ring.append(Event(cat, name, tid,
                                 self.clock() if ts is None else ts, dur,
                                 args if args else None))
@@ -178,15 +149,3 @@ class TraceBus:
 
     def __len__(self) -> int:
         return len(self._ring)
-
-    @property
-    def dropped(self) -> int:
-        """Events pushed out of the ring by newer ones."""
-        return sum(self.emitted.values()) - len(self._ring)
-
-    def category_counts(self) -> dict:
-        """Retained events per category (for summaries)."""
-        counts: dict[str, int] = {}
-        for event in self._ring:
-            counts[event.cat] = counts.get(event.cat, 0) + 1
-        return counts

@@ -301,7 +301,7 @@ class Interp:
         if trace is not None:
             self.bus = TraceBus(trace,
                                 clock=lambda: self.stats.steps_total)
-            self.history = AccessHistory(trace.history_depth)
+            self.history = AccessHistory()
             self.shadow.history = self.history
             self.locks.bus = self.bus
             self.rc.bus = self.bus

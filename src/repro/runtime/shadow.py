@@ -149,10 +149,6 @@ class ShadowMemory:
                     out[base + slot] = value
         return out
 
-    def _get_bits(self, granule: int) -> int:
-        page = self._pages.get(granule >> PAGE_SHIFT)
-        return page[granule & PAGE_MASK] if page is not None else 0
-
     def _check_tid(self, tid: int) -> None:
         if tid < 1:
             # Bit 0 is the "single thread reads and writes" writer bit;

@@ -93,10 +93,6 @@ class AccessInfo:
         self.site_key_w = (self.loc.file, self.loc.line,
                            self.lvalue_text, "w")
 
-    @property
-    def is_checked(self) -> bool:
-        return self.is_lock or self.is_dynamic
-
 
 @dataclass
 class CheckStats:

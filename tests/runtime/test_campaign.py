@@ -3,7 +3,7 @@
 The load-bearing guarantee is bit-identical resume: a campaign killed
 after any shard and resumed (any number of times, with any job count,
 under either backend) must write the same ``summary.json`` bytes as an
-uninterrupted run.  Everything else — corpus dedup, deterministic
+uninterrupted run.  Everything else — trace dedup, deterministic
 lease logs, coverage-guided budget flow — hangs off that fold-order
 discipline, so most tests here compare serialized artifacts, not
 in-memory objects.
@@ -47,12 +47,6 @@ def summary_bytes(directory: str) -> bytes:
         return handle.read()
 
 
-def corpus_lines(directory: str) -> list:
-    with open(os.path.join(directory, "corpus.txt"),
-              encoding="utf-8") as handle:
-        return handle.read().splitlines()
-
-
 class TestCampaignBasics:
     def test_budget_exhausted_and_summary_written(self, tmp_path):
         directory = str(tmp_path / "camp")
@@ -62,7 +56,7 @@ class TestCampaignBasics:
         assert summary.schedules == 24
         assert summary.shards_done == 4
         payload = json.loads(summary_bytes(directory))
-        assert payload["schema"] == CAMPAIGN_SCHEMA == "sharc-campaign/2"
+        assert payload["schema"] == CAMPAIGN_SCHEMA == "sharc-campaign/3"
         assert payload["schedules"] == 24
         assert payload["complete"] is True
         assert payload["distinct_traces"] == summary.distinct_traces
@@ -80,6 +74,23 @@ class TestCampaignBasics:
         text = summary_bytes(directory).decode()
         for needle in ("wall", "seconds", "elapsed", "time"):
             assert needle not in text
+
+    def test_directory_holds_queue_shards_sources_summary(self, tmp_path):
+        """The shard files are the one durable record of traces: a
+        campaign directory holds no second copy of them."""
+        directory = str(tmp_path / "camp")
+        summary = run_campaign([racy_target()], directory,
+                               config=small_config())
+        assert sorted(os.listdir(directory)) == [
+            "campaign.json", "queue.jsonl", "shards", "sources",
+            "summary.json"]
+        traces = set()
+        for name in os.listdir(os.path.join(directory, "shards")):
+            with open(os.path.join(directory, "shards", name),
+                      encoding="utf-8") as handle:
+                traces.update(row["trace"]
+                              for row in json.load(handle)["rows"])
+        assert len(traces) == summary.distinct_traces
 
     def test_fresh_campaign_requires_targets(self, tmp_path):
         with pytest.raises(ValueError, match="at least one target"):
@@ -140,22 +151,6 @@ class TestResumeBitIdentical:
         choppy_q = open(os.path.join(choppy, "queue.jsonl")).read()
         assert choppy_q == straight_q
 
-    def test_corpus_dedups_across_restarts(self, tmp_path):
-        """Acceptance criterion: restarts never duplicate corpus lines,
-        and the resumed corpus equals the uninterrupted one as a set."""
-        config = small_config()
-        straight = str(tmp_path / "straight")
-        run_campaign([racy_target()], straight, config=config)
-
-        paused = str(tmp_path / "paused")
-        run_campaign([racy_target()], paused, config=config,
-                     stop_after=2)
-        run_campaign(None, paused, resume=True)
-
-        lines = corpus_lines(paused)
-        assert len(lines) == len(set(lines))
-        assert set(lines) == set(corpus_lines(straight))
-
     def test_resume_refuses_tampered_sources(self, tmp_path):
         directory = str(tmp_path / "camp")
         run_campaign([racy_target()], directory, config=small_config(),
@@ -180,6 +175,22 @@ class TestResumeBitIdentical:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(manifest, handle)
         with pytest.raises(ValueError, match="sharc-campaign/1"):
+            run_campaign(None, directory, resume=True)
+
+    def test_resume_refuses_schema_2(self, tmp_path):
+        """A ``sharc-campaign/2`` manifest config still names a burst
+        cap and a shadow width; there is no reader for it."""
+        directory = str(tmp_path / "camp")
+        run_campaign([racy_target()], directory, config=small_config(),
+                     stop_after=1)
+        path = os.path.join(directory, MANIFEST_NAME)
+        with open(path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["schema"] = "sharc-campaign/2"
+        manifest["config"].update(max_burst=8, shadow_bytes=2)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(ValueError, match="sharc-campaign/2"):
             run_campaign(None, directory, resume=True)
 
     def test_resume_ignores_caller_config_except_jobs(self, tmp_path):

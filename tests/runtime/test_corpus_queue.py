@@ -1,6 +1,5 @@
-"""Units for the campaign engine's durable pieces: the deduplicating
-trace corpus (bloom front + exact set + append-only file) and the
-crash-safe work queue (lease log + atomic shard results)."""
+"""Units for the campaign engine's durable piece: the crash-safe work
+queue (lease log + atomic shard results)."""
 
 from __future__ import annotations
 
@@ -8,108 +7,8 @@ import json
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.explore.corpus import BloomFilter, TraceCorpus
 from repro.explore.queue import WorkQueue
-
-HASHES = st.text(alphabet="0123456789abcdef", min_size=16, max_size=16)
-
-
-class TestBloomFilter:
-    def test_rejects_bad_geometry(self):
-        with pytest.raises(ValueError, match="power of two"):
-            BloomFilter(bits=1000)
-        with pytest.raises(ValueError, match="power of two"):
-            BloomFilter(bits=4)
-        with pytest.raises(ValueError, match="probes"):
-            BloomFilter(probes=0)
-
-    @given(digests=st.lists(HASHES, max_size=50))
-    @settings(max_examples=30, deadline=None)
-    def test_no_false_negatives(self, digests):
-        """The property the corpus's correctness rests on: everything
-        added is always reported maybe-present."""
-        bloom = BloomFilter(bits=1 << 10, probes=3)
-        for digest in digests:
-            bloom.add(digest)
-        assert all(digest in bloom for digest in digests)
-
-    def test_fresh_filter_is_empty(self):
-        bloom = BloomFilter(bits=1 << 10)
-        assert "deadbeefdeadbeef" not in bloom
-
-    def test_probe_stream_is_deterministic(self):
-        a = BloomFilter(bits=1 << 12, probes=6)
-        b = BloomFilter(bits=1 << 12, probes=6)
-        assert a._indices("ab12") == b._indices("ab12")
-        # short digest x many probes exercises the re-mix path
-        assert len(a._indices("ab12")) == 6
-
-
-class TestTraceCorpus:
-    def test_add_is_new_exactly_once(self, tmp_path):
-        corpus = TraceCorpus(str(tmp_path / "corpus.txt"))
-        assert corpus.add("aa" * 8) is True
-        assert corpus.add("aa" * 8) is False
-        assert corpus.add("bb" * 8) is True
-        assert len(corpus) == 2
-        assert "aa" * 8 in corpus
-        assert "cc" * 8 not in corpus
-
-    def test_add_many_counts_new(self):
-        corpus = TraceCorpus()  # memory-only is allowed
-        assert corpus.add_many(["a1" * 8, "a1" * 8, "b2" * 8]) == 2
-        corpus.flush()  # no path: a no-op that clears the buffer
-
-    def test_flush_persists_and_dedups_lines(self, tmp_path):
-        path = str(tmp_path / "corpus.txt")
-        corpus = TraceCorpus(path)
-        corpus.add_many(["aa" * 8, "bb" * 8])
-        corpus.flush()
-        corpus.add_many(["aa" * 8, "cc" * 8])
-        corpus.flush()
-        lines = (tmp_path / "corpus.txt").read_text().splitlines()
-        assert sorted(lines) == sorted(["aa" * 8, "bb" * 8, "cc" * 8])
-        assert len(lines) == len(set(lines))
-
-    def test_refold_working_set_starts_empty(self, tmp_path):
-        """Resume semantics: a reopened corpus answers "new" for
-        already-persisted hashes (the refold rebuilds the working set)
-        but never rewrites them to disk."""
-        path = str(tmp_path / "corpus.txt")
-        first = TraceCorpus(path)
-        first.add("aa" * 8)
-        first.flush()
-        again = TraceCorpus(path)
-        assert "aa" * 8 not in again  # working set is fresh
-        assert again.add("aa" * 8) is True  # new to THIS fold...
-        again.flush()
-        lines = (tmp_path / "corpus.txt").read_text().splitlines()
-        assert lines == ["aa" * 8]  # ...but not re-persisted
-
-    def test_preload_seeds_working_set(self, tmp_path):
-        path = str(tmp_path / "corpus.txt")
-        first = TraceCorpus(path)
-        first.add_many(["aa" * 8, "bb" * 8])
-        first.flush()
-        warm = TraceCorpus(path, preload=True)
-        assert len(warm) == 2
-        assert warm.add("aa" * 8) is False
-
-    def test_torn_tail_dropped_on_load(self, tmp_path):
-        path = tmp_path / "corpus.txt"
-        path.write_text("aa" * 8 + "\n" + "bb" * 8 + "\nZZnot-hex")
-        corpus = TraceCorpus(str(path), preload=True)
-        assert len(corpus) == 2
-        assert corpus.persisted == 2
-
-    def test_persisted_counts_pending(self, tmp_path):
-        corpus = TraceCorpus(str(tmp_path / "corpus.txt"))
-        corpus.add("aa" * 8)
-        assert corpus.persisted == 1  # buffered counts toward disk
-        corpus.flush()
-        assert corpus.persisted == 1
 
 
 class TestWorkQueue:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -214,6 +216,8 @@ class TestShrink:
         save_artifact(result, path)
         payload = load_artifact(path)
         assert payload["report_keys"] == [key]
+        assert payload["version"] == 2
+        assert not {"max_burst", "shadow_bytes", "workload"} & set(payload)
         replayed = replay_artifact(payload)
         assert key in replayed.report_counts
         again = replay_artifact(payload)
@@ -224,6 +228,15 @@ class TestShrink:
         path = tmp_path / "other.json"
         path.write_text('{"kind": "something-else"}')
         with pytest.raises(ValueError, match="not a schedule artifact"):
+            load_artifact(str(path))
+
+    def test_load_refuses_version_1(self, tmp_path):
+        """Version 1 artifacts carried a burst cap, shadow width and
+        workload of their own; there is no reader for them."""
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"kind": "sharc-schedule",
+                                    "version": 1}))
+        with pytest.raises(ValueError, match="version 1"):
             load_artifact(str(path))
 
 
@@ -521,7 +534,7 @@ class TestArrivalOrderInvariance:
             for seed in range(seeds):
                 outcomes.append(run_schedule(
                     RACY_COUNTER, "racy.c", seed, policy, "sharc",
-                    2000, 8, None, 2))
+                    2000))
         return outcomes
 
     @staticmethod
@@ -598,7 +611,7 @@ class TestHorizonProbeCache:
 
         monkeypatch.setattr(interp, "run_checked", counting)
         args = (("pct", "pct:2"), RACY_COUNTER, "racy.c", "sharc",
-                2000, 8, None, 2)
+                2000, None)
         first = driver._resolve_policies(*args)
         assert len(calls) == 1
         second = driver._resolve_policies(*args)
@@ -618,7 +631,7 @@ class TestHorizonProbeCache:
         monkeypatch.setattr(interp, "run_checked", boom)
         resolved = driver._resolve_policies(
             ("random", "pct:3:400", "pb:2"), RACY_COUNTER, "racy.c",
-            "sharc", 2000, 8, None, 2)
+            "sharc", 2000, None)
         assert resolved == ("random", "pct:3:400", "pb:2")
 
     def test_caches_stay_at_their_bound(self, monkeypatch):
@@ -635,7 +648,7 @@ class TestHorizonProbeCache:
                    for n in range(driver.CACHE_ENTRIES + 3)]
         for source in sources:
             driver._resolve_policies(("pct",), source, "racy.c", "sharc",
-                                     2000, 8, None, 2)
+                                     2000, None)
         assert len(driver._CHECK_CACHE) == driver.CACHE_ENTRIES
         assert len(driver._HORIZON_CACHE) == driver.CACHE_ENTRIES
 
@@ -647,4 +660,4 @@ class TestHorizonProbeCache:
         recent = driver._checked_program(sources[-1], "racy.c")
         assert recent is driver._checked_program(sources[-1], "racy.c")
         driver._resolve_policies(("pct",), sources[3], "racy.c", "sharc",
-                                 2000, 8, None, 2)
+                                 2000, None)
