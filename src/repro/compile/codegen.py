@@ -524,8 +524,8 @@ class FunctionCodegen:
                          rc: bool, safe: bool = False) -> str:
         """The ``_do_write`` sequence (non-register): mask, census,
         check, one yield, store, rc.  Returns the *stored* value
-        expression (masked — callers returning a value must keep the
-        unmasked temp, as the interpreter does)."""
+        expression (masked for a 1-byte target), which is also the
+        value of the assignment or prefix ``++``/``--``."""
         size = self._sizeof(e)
         info = getattr(e, "sharc_write", None)
         safe = safe or self.is_safe_addr(addr)
@@ -684,7 +684,7 @@ class FunctionCodegen:
             pt = self.fast_write(addr, wt, want_old=rc)
             if rc:
                 self.w(f"I._rc_write(th, {addr}, {pt}, {wt})")
-            return ot if e.postfix else nt
+            return ot if e.postfix else wt
         addr = self.gen_lvalue(operand)
         safe = self.is_safe_addr(addr)
         if self.is_slab_addr(addr) or self._reuse(addr):
@@ -695,8 +695,8 @@ class FunctionCodegen:
         old = self.gen_read_access(operand, at, safe=safe)
         nt = self.tmp()
         self.w(f"{nt} = ({old} or 0) + {delta}")
-        self.gen_write_access(operand, at, nt, rc, safe=safe)
-        return old if e.postfix else nt
+        wt = self.gen_write_access(operand, at, nt, rc, safe=safe)
+        return old if e.postfix else wt
 
     def _gen_binop(self, e: A.Binop) -> str:
         opk = _BINOP_K.get(e.op, -1)
@@ -894,7 +894,7 @@ class FunctionCodegen:
             pt = self.fast_write(addr, wt, want_old=rc)
             if rc:
                 self.w(f"I._rc_write(th, {addr}, {pt}, {wt})")
-            return vt
+            return wt
         addr = self.gen_lvalue(lhs)
         safe = self.is_safe_addr(addr)
         if self.is_slab_addr(addr) or self._reuse(addr):
@@ -905,8 +905,7 @@ class FunctionCodegen:
         if compound:
             old = self.gen_read_access(lhs, at, safe=safe)
             vt = self._gen_binop_arm(e, opk, old, vt)
-        self.gen_write_access(lhs, at, vt, rc, safe=safe)
-        return vt
+        return self.gen_write_access(lhs, at, vt, rc, safe=safe)
 
     # -- calls -------------------------------------------------------------
 

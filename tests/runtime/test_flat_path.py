@@ -1,13 +1,16 @@
 """The tree-walker's flat path against the compiled backend.
 
-``Interp.eval_expr`` hands a flat subtree (literals, ``NULL``,
-register-like scalar locals, and ``- ! ~``, binary operators and casts
-over flat operands) to plain recursive calls instead of nested
-generators.  The compiled backend implements the same cost model
+``Interp`` evaluates a flat subtree (one that can never reach a
+scheduling point: literals, register-like scalar locals, ``=`` /
+``op=`` / ``++`` / ``--`` on them, ``- ! ~ &``, binary operators and
+casts over flat operands) with plain recursive calls instead of nested
+generators, and resolves an l-value whose address cannot yield
+(``x``, ``a[i]``, ``s.f``, ``p->f``, ``*p`` over flat parts) the same
+way.  The compiled backend implements the same cost model
 independently, so a flat path that drifts in its ticks, values, error
 text, the clock of an aborted run or the page census shows up here as a
-fingerprint or census mismatch.  Each case also asserts that the
-expressions it exercises were evaluated flat, and pins the C result.
+fingerprint or census mismatch.  Each case also asserts the flatness
+marks of the expressions it exercises, and pins the C result.
 """
 
 from __future__ import annotations
@@ -86,14 +89,143 @@ int main() {
   return 0;
 }
 """, "44 244 127 211 -13\n", None),
+    # register stores: the value of an assignment is the stored value
+    "register-assigns": ("""
+int main() {
+  int a; int b; int r; char c;
+  a = 5; b = 7;
+  r = (a += 3) * 2;
+  b -= a;
+  b <<= 2;
+  c = 250;
+  c += 10;
+  r = r + (c = 300);
+  a = b = -1;
+  printf("%d %d %d %d\\n", a, b, c, r);
+  return 0;
+}
+""", "-1 -1 44 60\n", None),
+    # op= by zero on a register aborts its thread after the load
+    "register-div-mod-by-zero": ("""
+int total;
+void *divide(void *arg) {
+  int a; int z;
+  a = 7; z = 0;
+  a /= z;
+  total = a;
+  return NULL;
+}
+void *modulo(void *arg) {
+  int a; int z;
+  a = -7; z = 0;
+  a %= z * 2;
+  total = a;
+  return NULL;
+}
+int main() {
+  int i; int s;
+  int t1 = thread_create(divide, NULL);
+  int t2 = thread_create(modulo, NULL);
+  s = 0;
+  for (i = 0; i < 20; i++) { s += i % 3; }
+  thread_join(t1);
+  thread_join(t2);
+  printf("%d\\n", s);
+  return 0;
+}
+""", "19\n", "by zero"),
+    "register-incdec": ("""
+int g[4];
+int main() {
+  int i; int r; char c; int *p;
+  i = 5;
+  i++; ++i; i--;
+  c = 255;
+  r = c++;
+  r = r * 10 + ++c;
+  c = 0;
+  --c;
+  p = g;
+  p++; ++p; p--;
+  *p = 9;
+  r = r + *++p;
+  printf("%d %d %d %d %d\\n", i, r, c, g[1], p - g);
+  return 0;
+}
+""", "6 2551 255 9 2\n", None),
+    # a flat address over a NULL pointer: each thread dies on its
+    # first access, with the ticks of the whole address charged
+    "null-addresses": ("""
+struct S { int f; int h; };
+struct S s;
+int a[4];
+void *index_null(void *arg) {
+  int i; int *q; int r;
+  i = 2; q = NULL;
+  r = a[i] + q[i + 1];
+  return NULL;
+}
+void *arrow_null(void *arg) {
+  struct S *p; int r;
+  p = NULL;
+  r = s.f + p->h;
+  return NULL;
+}
+void *deref_null(void *arg) {
+  int *p; int r;
+  p = NULL;
+  r = s.h;
+  *p = r;
+  return NULL;
+}
+int main() {
+  int t1 = thread_create(index_null, NULL);
+  int t2 = thread_create(arrow_null, NULL);
+  int t3 = thread_create(deref_null, NULL);
+  a[1] = 4; s.f = 3;
+  thread_join(t1);
+  thread_join(t2);
+  thread_join(t3);
+  printf("%d\\n", a[1] + s.f);
+  return 0;
+}
+""", "7\n", "null pointer"),
 }
 
 
+def _exprs(checked, kinds) -> list:
+    return [e for f in checked.program.functions() if f.body is not None
+            for e in A.all_exprs(f.body) if isinstance(e, kinds)]
+
+
 def _flat_roots(checked, lhs: str = "r") -> list:
-    return [e.rhs for f in checked.program.functions() if f.body is not None
-            for e in A.all_exprs(f.body)
-            if isinstance(e, A.Assign) and isinstance(e.lhs, A.Ident)
-            and e.lhs.name == lhs]
+    return [e.rhs for e in _exprs(checked, A.Assign)
+            if isinstance(e.lhs, A.Ident) and e.lhs.name == lhs]
+
+
+def _is_lvalue(e) -> bool:
+    return isinstance(e, (A.Index, A.Member)) or (
+        isinstance(e, A.Unop) and e.op == "*")
+
+
+#: name -> the nodes whose marks it asserts, and the mark: every
+#: right-hand side assigned to ``r``, every register store or ``++`` /
+#: ``--``, or the address of every l-value
+MARKS = {
+    "div-mod-by-zero": (_flat_roots, "sharc_flat"),
+    "andand-oror": (_flat_roots, "sharc_flat"),
+    "char-casts-masks": (_flat_roots, "sharc_flat"),
+    "register-assigns": (lambda c: _exprs(c, A.Assign), "sharc_flat"),
+    "register-div-mod-by-zero": (
+        lambda c: [e for e in _exprs(c, A.Assign) if e.op != "="],
+        "sharc_flat"),
+    "register-incdec": (
+        lambda c: [e for e in _exprs(c, A.Unop) if e.op in ("++", "--")],
+        "sharc_flat"),
+    "null-addresses": (
+        lambda c: [e for e in _exprs(c, A.Expr) if _is_lvalue(e)],
+        "sharc_flat_addr"),
+}
 
 
 def _identical_everywhere(checked):
@@ -118,8 +250,9 @@ def test_flat_program_matches_compiled(name):
         assert result.error is None
     else:
         assert error in result.error
-    roots = _flat_roots(checked)
-    assert roots and all(getattr(e, "sharc_flat", False) for e in roots)
+    nodes, mark = MARKS[name]
+    roots = nodes(checked)
+    assert roots and all(getattr(e, mark) for e in roots)
 
 
 def test_flat_read_pays_the_page_census():
@@ -135,3 +268,28 @@ def test_flat_read_pays_the_page_census():
     assert with_far == without + 1
     assert all(getattr(e, "sharc_flat", False)
                for e in _flat_roots(read, "x"))
+
+
+def test_byte_assignment_value_is_the_stored_byte():
+    """The value of ``=``, ``op=`` and prefix ``++`` / ``--`` on a
+    1-byte l-value is the byte it stores, as in C, for a register
+    (flat) and a memory target alike, on both backends (the oracle
+    holds their output identical)."""
+    checked = check_ok("""
+char g;
+int main() {
+  char c; int s; int t; int u; int v; int w;
+  c = 255;
+  s = ++c;
+  c = 3;
+  t = (c -= 5);
+  g = 250;
+  u = (g += 10);
+  g = 0;
+  v = --g;
+  w = (g = 300);
+  printf("%d %d %d %d %d\\n", s, t, u, v, w);
+  return 0;
+}
+""")
+    assert _identical_everywhere(checked).output == "0 254 4 255 44\n"
