@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import re
 
-from repro.errors import InterpError
+from repro.errors import DiagKind, InterpError
 from repro.cfront import cast as A
 from repro.runtime.addrspace import PAGE_SIZE
 from repro.runtime.builtins import IMPLS
@@ -84,7 +84,7 @@ from repro.runtime.interp import (
 from repro.cfront.pretty import pretty_expr
 from repro.obs.events import CAT_SCAST
 from repro.sharc.defaults import collect_local_decls, function_exprs
-from repro.sharc.reports import Access, oneref_failed
+from repro.sharc.reports import oneref_detail
 from repro.compile.closures import CompileError, CompiledFunction
 
 #: the value of a register slot the activation has not touched yet
@@ -484,9 +484,9 @@ class FunctionCodegen:
                    f"th.tid, target='0x%x' % {bt}, count={ct} + 1, "
                    f"ok={ct} == 0)")
             self.w(f"if {ct} > 0:")
-            self.w(f"    I._report({self.const(oneref_failed)}({bt}, "
-                   f"{self.const(Access)}(th.tid, {ptxt!r}, {loc}), "
-                   f"{ct} + 1))")
+            self.w(f"    I._report({self.const(DiagKind.ONEREF_FAILED)}, "
+                   f"{bt}, th.tid, {ptxt!r}, {loc}, detail="
+                   f"{self.const(oneref_detail)}({ct} + 1))")
             self.w(f"{bkt} = space.block_of(int({vt}))")
             self.w(f"if {bkt} is not None:")
             self.w(f"    I.shadow.reset_granules({bkt}.start, "

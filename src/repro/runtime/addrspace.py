@@ -16,11 +16,16 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from itertools import compress, repeat, takewhile
+from operator import is_not
 
 from repro.errors import InterpError, Loc
 
 PAGE_SIZE = 4096
 GRANULE = 16
+
+#: marks the addresses of a gathered range that have no cell
+_GAP = object()
 
 
 @dataclass
@@ -153,19 +158,19 @@ class AddressSpace:
         if n > 0:
             self.check_access(src + n - 1, loc)
             self.check_access(dst + n - 1, loc)
-        updates = {}
-        for addr in range(src, src + n):
-            if addr in self.cells:
-                updates[dst + (addr - src)] = self.cells[addr]
-        removals = [dst + i for i in range(n)
-                    if dst + i in self.cells and dst + i not in updates]
-        for addr in removals:
-            self.cells[addr] = 0
-        self.cells.update(updates)
-        for addr in range(dst, dst + n, PAGE_SIZE):
-            self.pages_touched.add(addr // PAGE_SIZE)
-        if n:
-            self.pages_touched.add((dst + n - 1) // PAGE_SIZE)
+        cells = self.cells
+        targets = range(dst, dst + n)
+        # The source is gathered before anything is written, so an
+        # overlapping copy sees the old bytes.
+        values = list(map(cells.get, range(src, src + n), repeat(_GAP)))
+        updates = dict(compress(zip(targets, values),
+                                map(is_not, values, repeat(_GAP))))
+        # Destination cells the source has no cell for become 0.
+        cells.update(dict.fromkeys(
+            (cells.keys() & targets).difference(updates), 0))
+        cells.update(updates)
+        if n > 0:
+            self._touch_span(dst, n)
 
     def set_range(self, dst: int, value: int, n: int,
                   loc: Loc | None = None) -> None:
@@ -177,8 +182,7 @@ class AddressSpace:
         self.check_access(dst, loc)
         if n > 0:
             self.check_access(dst + n - 1, loc)
-        for addr in range(dst, dst + n):
-            self.cells[addr] = value
+        self.cells.update(dict.fromkeys(range(dst, dst + n), value))
         for addr in range(dst, dst + n, PAGE_SIZE):
             self.pages_touched.add(addr // PAGE_SIZE)
 
@@ -206,13 +210,16 @@ class AddressSpace:
                    loc: Loc | None = None) -> bytes:
         """The cells' low bytes; same effects as :meth:`read` per byte."""
         if self._live_span(addr, n):
-            get = self.cells.get
+            values = list(map(self.cells.get, range(addr, addr + n),
+                              repeat(0)))
             try:
-                data = bytes([int(get(a, 0)) & 0xFF
-                              for a in range(addr, addr + n)])
-            except Exception:
-                pass  # the loop below re-raises it at the same byte
-            else:
+                data = bytes(values)
+            except (TypeError, ValueError):
+                try:
+                    data = bytes([int(v) & 0xFF for v in values])
+                except (TypeError, ValueError, OverflowError):
+                    data = None  # the loop below raises at that byte
+            if data is not None:
                 self._touch_span(addr, n)
                 return data
         return bytes(int(self.read(addr + i, loc)) & 0xFF
@@ -221,6 +228,19 @@ class AddressSpace:
     def read_c_string(self, addr: int, loc: Loc | None = None,
                       limit: int = 1 << 20) -> str:
         """Reads a NUL-terminated byte string."""
+        block = self.block_of(addr) if limit > 0 else None
+        if block is not None and not block.freed:
+            # A string ending inside its live block: same effects as the
+            # per-byte reads below, which handle every other case.
+            end = min(block.end, addr + limit)
+            get = self.cells.get
+            chars = list(takewhile(bool, map(get, range(addr, end),
+                                             repeat(0))))
+            stop = addr + len(chars)
+            if stop < end and isinstance(get(stop, 0), int) \
+                    and all(map(isinstance, chars, repeat(int))):
+                self._touch_span(addr, len(chars) + 1)
+                return bytes([c & 0xFF for c in chars]).decode("latin-1")
         out = []
         for i in range(limit):
             b = self.read(addr + i, loc)

@@ -30,12 +30,12 @@ observation.
 
 from __future__ import annotations
 
+from repro.errors import DiagKind
 from repro.obs.events import CAT_CHECK
 from repro.obs.sitestats import (
     I_CONFLICTS, I_COST, I_ELIDED, I_FULL, I_LOCKED, I_MISS, I_RANGE,
     I_SOLO, new_counter,
 )
-from repro.sharc.reports import Access, read_conflict, write_conflict
 
 
 def make_dynamic_check(info, size: int, is_write: bool):
@@ -47,7 +47,7 @@ def make_dynamic_check(info, size: int, is_write: bool):
     loc = info.loc
     skey = info.site_key_w if is_write else info.site_key_r
     op = "chkwrite" if is_write else "chkread"
-    make_report = write_conflict if is_write else read_conflict
+    kind = DiagKind.WRITE_CONFLICT if is_write else DiagKind.READ_CONFLICT
 
     def check(I, th, addr):
         stats = I.stats
@@ -108,12 +108,9 @@ def make_dynamic_check(info, size: int, is_write: bool):
             site[I_MISS] += 1
         if conflict is not None:
             site[I_CONFLICTS] += 1
-            who = Access(tid, lvtext, loc)
-            # Provenance is fetched *before* recording this access, so
-            # the hist lines show the accesses leading up to it.
-            hist = (I.history.provenance(addr, size)
-                    if I.history is not None else ())
-            I._report(make_report(addr, who, conflict.as_access(), hist))
+            # Reported *before* recording this access, so the hist lines
+            # show the accesses leading up to it.
+            I._report(kind, addr, tid, lvtext, loc, conflict, span=size)
         if I.history is not None:
             I.history.record(addr, size, tid, lvtext, loc, is_write,
                              stats.steps_total)

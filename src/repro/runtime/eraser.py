@@ -65,7 +65,8 @@ class GranuleState:
     owner: int = 0
     #: candidate lockset; None encodes "all locks" (lazy top element)
     lockset: Optional[frozenset[int]] = None
-    last: Optional[Access] = None
+    #: the last access as ``(tid, lvalue, loc)``
+    last: Optional[tuple] = None
     reported: bool = False
 
 
@@ -95,7 +96,7 @@ class EraserChecker:
         """Processes one access; returns any new race reports."""
         self.stats.accesses += 1
         reports: list[Report] = []
-        who = Access(tid, lvalue, loc)
+        who = (tid, lvalue, loc)
         for granule in self._granules(addr, size):
             state = self.granules.get(granule)
             if state is None:
@@ -108,7 +109,7 @@ class EraserChecker:
         return reports
 
     def _step(self, st: GranuleState, tid: int, is_write: bool,
-              held: frozenset[int], who: Access,
+              held: frozenset[int], who: tuple,
               granule: int) -> Optional[Report]:
         if st.state is LockState.VIRGIN:
             st.state = LockState.EXCLUSIVE
@@ -133,7 +134,7 @@ class EraserChecker:
             self.stats.transitions += 1
         return self._check(st, who, granule)
 
-    def _check(self, st: GranuleState, who: Access,
+    def _check(self, st: GranuleState, who: tuple,
                granule: int) -> Optional[Report]:
         if st.state is not LockState.SHARED_MODIFIED:
             return None
@@ -144,7 +145,7 @@ class EraserChecker:
         st.reported = True
         self.stats.reports += 1
         return Report(DiagKind.WRITE_CONFLICT, granule << GRANULE_SHIFT,
-                      who, st.last,
+                      Access(*who), Access(*st.last),
                       detail="eraser: candidate lockset is empty")
 
     def thread_exit(self, tid: int) -> None:

@@ -71,10 +71,7 @@ from repro.obs.sitestats import (
 )
 from repro.cfront.ctypes import ArrayType, FuncType, QualType, StructType
 from repro.sharc.checker import CheckedProgram
-from repro.sharc.reports import (
-    Access, Report, lock_not_held, oneref_failed, read_conflict,
-    write_conflict,
-)
+from repro.sharc.reports import Access, Report, oneref_detail
 from repro.sharc.typecheck import AccessInfo
 from repro.runtime.addrspace import PAGE_SIZE, AddressSpace
 from repro.runtime.builtins import IMPLS
@@ -340,13 +337,28 @@ class Interp:
 
     # -- reports -----------------------------------------------------------------
 
-    def _report(self, report: Report) -> None:
-        key = (report.kind.value, report.who.lvalue, report.who.loc.line,
-               report.last.loc.line if report.last else -1)
-        if key in self._report_keys:
-            self._report_keys[key] += 1
+    def _report(self, kind: DiagKind, addr: int, tid: int, lvalue: str,
+                loc: Loc, last=None, detail: str = "",
+                span: Optional[int] = None) -> None:
+        """Counts one violation under its key (kind, l-value, line, line
+        of ``last``) and builds its :class:`Report` only when the key is
+        new: a repeat costs one dict update.  ``last`` is the access it
+        conflicts with (any record with ``tid``, ``lvalue`` and ``loc``);
+        ``span`` bytes from ``addr`` give the history a traced run
+        attaches."""
+        key = (kind.value, lvalue, loc.line,
+               -1 if last is None else last.loc.line)
+        count = self._report_keys.get(key)
+        if count is not None:
+            self._report_keys[key] = count + 1
             return
         self._report_keys[key] = 1
+        hist = (self.history.provenance(addr, span)
+                if span is not None and self.history is not None else ())
+        report = Report(kind, addr, Access(tid, lvalue, loc),
+                        None if last is None
+                        else Access(last.tid, last.lvalue, last.loc),
+                        detail, hist)
         self.reports.append(report)
         if self.bus is not None:
             self.bus.emit(
@@ -374,11 +386,11 @@ class Interp:
             except TypeError:
                 lvalue = "<expr>"
             node.sharc_lvalue = lvalue  # type: ignore[attr-defined]
-        for report in self.eraser.on_access(addr, size, thread.tid,
-                                            is_write,
-                                            self.locks.held_by(thread.tid),
-                                            lvalue, node.loc):
-            self._report(report)
+        for r in self.eraser.on_access(addr, size, thread.tid, is_write,
+                                       self.locks.held_by(thread.tid),
+                                       lvalue, node.loc):
+            self._report(r.kind, r.addr, r.who.tid, r.who.lvalue, r.who.loc,
+                         r.last, r.detail)
         self._charge_check(ACCESS_COST)
 
     def _apply_check(self, info: AccessInfo, addr: int, size: int,
@@ -419,11 +431,9 @@ class Interp:
         held = self.locks.holds_for_access(thread.tid,
                                            int(lock_addr), is_write)
         if not held:
-            hist = (self.history.provenance(addr, size)
-                    if self.history is not None else ())
-            self._report(lock_not_held(
-                addr, Access(thread.tid, info.lvalue_text, info.loc),
-                str(info.mode), hist))
+            self._report(DiagKind.LOCK_NOT_HELD, addr, thread.tid,
+                         info.lvalue_text, info.loc,
+                         detail=f"required lock: {info.mode}", span=size)
         if self.history is not None:
             self.history.record(addr, size, thread.tid,
                                 info.lvalue_text, info.loc, is_write,
@@ -462,36 +472,23 @@ class Interp:
             return
         slow = 0
         conflict = None
-        counted = False
-        if is_write:
+        if is_write or "r" in rw:
             # A library summary covers the whole touched byte range in
             # one go — the natural consumer of the range-batched walk.
-            conflict, slow = self.shadow.chkwrite_range(
-                addr, length, thread.tid, info.lvalue_text, info.loc)
-            counted = True
-            if conflict is not None:
-                who = Access(thread.tid, info.lvalue_text, info.loc)
-                hist = (self.history.provenance(addr, length)
-                        if self.history is not None else ())
-                self._report(write_conflict(addr, who,
-                                            conflict.as_access(), hist))
-        elif "r" in rw:
-            conflict, slow = self.shadow.chkread_range(
-                addr, length, thread.tid, info.lvalue_text, info.loc)
-            counted = True
-            if conflict is not None:
-                who = Access(thread.tid, info.lvalue_text, info.loc)
-                hist = (self.history.provenance(addr, length)
-                        if self.history is not None else ())
-                self._report(read_conflict(addr, who,
-                                           conflict.as_access(), hist))
-        if counted:
+            chk = (self.shadow.chkwrite_range if is_write
+                   else self.shadow.chkread_range)
+            conflict, slow = chk(addr, length, thread.tid,
+                                 info.lvalue_text, info.loc)
             self.stats.checks_range += 1
             site[I_RANGE] += 1
             if slow:
                 site[I_MISS] += 1
             if conflict is not None:
                 site[I_CONFLICTS] += 1
+                self._report(DiagKind.WRITE_CONFLICT if is_write
+                             else DiagKind.READ_CONFLICT, addr, thread.tid,
+                             info.lvalue_text, info.loc, conflict,
+                             span=length)
         if self.history is not None and rw:
             self.history.record(addr, length, thread.tid,
                                 info.lvalue_text, info.loc, is_write,
@@ -1173,9 +1170,9 @@ class Interp:
                               target=f"0x{base:x}", count=count + 1,
                               ok=count == 0)
             if count > 0:
-                self._report(oneref_failed(
-                    base, Access(thread.tid, pretty_expr(src), e.loc),
-                    count + 1))
+                self._report(DiagKind.ONEREF_FAILED, base, thread.tid,
+                             pretty_expr(src), e.loc,
+                             detail=oneref_detail(count + 1))
             block = self.space.block_of(int(value))
             if block is not None:
                 # Past accesses no longer constitute unintended sharing.
@@ -1213,8 +1210,10 @@ class Interp:
         raise InterpError(f"call of undefined function {callee_name!r}",
                           e.loc)
 
-    def call_function(self, thread: Thread, func: A.FuncDef, args: list):
-        """Generator: executes a user function body in a fresh frame."""
+    def _enter_function(self, thread: Thread, func: A.FuncDef,
+                        args: list) -> Frame:
+        """A fresh frame for ``func``: slab, locals and parameter
+        stores.  Every caller pops it with :meth:`_pop_frame`."""
         if func.body is None:
             raise InterpError(f"call of undefined function {func.name!r}",
                               func.loc)
@@ -1231,6 +1230,11 @@ class Interp:
             old = self.space.write(addr, value, func.loc)
             if tracked:
                 self._rc_write(thread, addr, old, value)
+        return frame
+
+    def call_function(self, thread: Thread, func: A.FuncDef, args: list):
+        """Generator: executes a user function body in a fresh frame."""
+        frame = self._enter_function(thread, func, args)
         try:
             yield from self.exec_stmt(func.body, thread, frame)
             result = 0
@@ -1408,20 +1412,28 @@ class Interp:
         return thread
 
     def _thread_body(self, thread: Thread, func: A.FuncDef, args: list):
+        """Thread entry: runs the body in this generator, not through
+        :meth:`call_function`, since every scheduler item resumes each
+        frame of the suspended yield-from chain."""
+        frame = self._enter_function(thread, func, args)
         try:
-            result = yield from self.call_function(thread, func, args)
+            yield from self.exec_stmt(func.body, thread, frame)
+            result = 0
+        except _Return as ret:
+            result = ret.value
         except ThreadExit as te:
             result = te.value
+        finally:
+            self._pop_frame(thread, frame)
         return result
 
     def _thread_exited(self, thread: Thread) -> None:
         self.shadow.clear_thread(thread.tid)
         leaked = self.locks.thread_exit(thread.tid)
         for addr in leaked:
-            self._report(Report(
-                DiagKind.RUNTIME, addr,
-                Access(thread.tid, f"mutex(0x{addr:x})", Loc()),
-                detail="thread exited still holding this lock"))
+            self._report(DiagKind.RUNTIME, addr, thread.tid,
+                         f"mutex(0x{addr:x})", Loc(),
+                         detail="thread exited still holding this lock")
 
     # -- program setup and main loop ----------------------------------------------------------
 
@@ -1451,13 +1463,8 @@ class Interp:
         main = self.functions.get("main")
         if main is None:
             raise InterpError("program has no main()")
-        boot = Frame(main)
-        yield from self._global_init_gen(thread, boot)
-        try:
-            result = yield from self.call_function(thread, main, [])
-        except ThreadExit as te:
-            result = te.value
-        return result
+        yield from self._global_init_gen(thread, Frame(main))
+        return (yield from self._thread_body(thread, main, []))
 
     def run(self, max_steps: int = 2_000_000) -> RunResult:
         result = RunResult()

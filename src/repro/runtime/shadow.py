@@ -58,8 +58,7 @@ Two further entry points serve the static check-elimination pass
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.errors import Loc
 from repro.sharc.reports import Access
@@ -79,9 +78,9 @@ PAGE_MASK = PAGE_SIZE - 1
 DEFAULT_RANGE_THRESHOLD = 8
 
 
-@dataclass(frozen=True)
-class LastAccess:
-    """Most recent recorded access to a granule, for conflict reports."""
+class LastAccess(NamedTuple):
+    """Most recent recorded access to a granule, for conflict reports.
+    A named tuple: a check that misses its cache builds one."""
 
     tid: int
     lvalue: str
@@ -455,15 +454,15 @@ class ShadowMemory:
         the address reused, clear bits of) a *different* object that
         landed at the same granules, and the logs would grow without
         bound as stack slabs are freed on every function return."""
-        logs = self.thread_log.values()
-        for granule in self.granules(addr, size):
+        granules = self.granules(addr, size)
+        for granule in granules:
             page = self._pages.get(granule >> PAGE_SHIFT)
             if page is not None:
                 page[granule & PAGE_MASK] = 0
             self.last.pop(granule, None)
             self.last_writer.pop(granule, None)
-            for log in logs:
-                log.discard(granule)
+        for log in self.thread_log.values():
+            log.difference_update(granules)
         self._version += 1
         if self.history is not None:
             # Freed (or scast-reset) memory must not leak another

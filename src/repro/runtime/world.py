@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import random
-from collections import deque
 from dataclasses import dataclass, field
 
 
@@ -52,7 +51,7 @@ class World:
         self.write_latency = write_latency
         self.rng = random.Random(seed)
         #: channel id -> pending inbound bytes
-        self.inbound: dict[int, deque[int]] = {}
+        self.inbound: dict[int, bytearray] = {}
         #: channel id -> everything the program sent
         self.outbound: dict[int, bytearray] = {}
         #: everything written to items (index -> bytes)
@@ -71,7 +70,7 @@ class World:
 
     def feed_channel(self, chan: int, data: bytes) -> None:
         """Queues inbound bytes on a channel (e.g. client -> stunnel)."""
-        self.inbound.setdefault(chan, deque()).extend(data)
+        self.inbound.setdefault(chan, bytearray()).extend(data)
 
     # -- item (file) API ----------------------------------------------------------
 
@@ -105,12 +104,11 @@ class World:
 
     def recv(self, chan: int, n: int) -> bytes:
         queue = self.inbound.get(chan)
-        if not queue:
+        if not queue or n <= 0:
             return b""
-        out = bytearray()
-        while queue and len(out) < n:
-            out.append(queue.popleft())
-        return bytes(out)
+        out = bytes(queue[:n])
+        del queue[:n]
+        return out
 
     def send(self, chan: int, data: bytes) -> int:
         self.outbound.setdefault(chan, bytearray()).extend(data)

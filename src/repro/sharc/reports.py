@@ -119,24 +119,6 @@ class Report:
         )
 
 
-def read_conflict(addr: int, who: Access, last: Access,
-                  history: tuple = ()) -> Report:
-    return Report(DiagKind.READ_CONFLICT, addr, who, last,
-                  history=history)
-
-
-def write_conflict(addr: int, who: Access, last: Access,
-                   history: tuple = ()) -> Report:
-    return Report(DiagKind.WRITE_CONFLICT, addr, who, last,
-                  history=history)
-
-
-def lock_not_held(addr: int, who: Access, lock_text: str,
-                  history: tuple = ()) -> Report:
-    return Report(DiagKind.LOCK_NOT_HELD, addr, who,
-                  detail=f"required lock: {lock_text}", history=history)
-
-
-def oneref_failed(addr: int, who: Access, count: int) -> Report:
-    return Report(DiagKind.ONEREF_FAILED, addr, who,
-                  detail=f"reference count is {count}, expected 1")
+def oneref_detail(count: int) -> str:
+    """The note of a ``oneref`` failure, on both backends."""
+    return f"reference count is {count}, expected 1"

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import InterpError, Loc
-from repro.runtime.addrspace import AddressSpace, GRANULE
+from repro.runtime.addrspace import PAGE_SIZE, AddressSpace, GRANULE
 
 
 @pytest.fixture
@@ -235,6 +235,82 @@ class TestBulkBytes:
             == _outcome(slow, lambda: bytes(
                 int(slow.read(addr + i, self.LOC)) & 0xFF
                 for i in range(n)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(layout=_layouts(), data=st.data())
+    def test_copy_range_matches_per_byte_copy(self, layout, data):
+        n = layout[-1]
+        fast, src = _build(layout)
+        slow, _ = _build(layout)
+        # an overlapping destination, or one around any block
+        dst = data.draw(st.one_of(
+            st.integers(-24, 24).map(lambda d: src + d),
+            st.tuples(st.sampled_from(sorted(fast.blocks)),
+                      st.integers(-4, 60)).map(sum)))
+
+        def per_byte():
+            # memcpy's definition: bounds first, then byte i of the old
+            # source, or 0 over a stale destination cell
+            for a in (src, dst) + ((src + n - 1, dst + n - 1) if n > 0
+                                   else ()):
+                slow.check_access(a, self.LOC)
+            old = dict(slow.cells)
+            for i in range(n):
+                if src + i in old:
+                    slow.cells[dst + i] = old[src + i]
+                elif dst + i in old:
+                    slow.cells[dst + i] = 0
+                slow.pages_touched.add((dst + i) // PAGE_SIZE)
+
+        assert _outcome(fast, lambda: fast.copy_range(
+            dst, src, n, self.LOC)) == _outcome(slow, per_byte)
+
+    @settings(max_examples=200, deadline=None)
+    @given(layout=_layouts(), value=st.integers(0, 255))
+    def test_set_range_matches_per_byte_stores(self, layout, value):
+        n = layout[-1]
+        fast, dst = _build(layout)
+        slow, _ = _build(layout)
+
+        def per_byte():
+            slow.check_access(dst, self.LOC)
+            if n > 0:
+                slow.check_access(dst + n - 1, self.LOC)
+            for i in range(n):
+                slow.cells[dst + i] = value
+                if i % PAGE_SIZE == 0:  # the census samples each stride
+                    slow.pages_touched.add((dst + i) // PAGE_SIZE)
+
+        assert _outcome(fast, lambda: fast.set_range(
+            dst, value, n, self.LOC)) == _outcome(slow, per_byte)
+
+    @settings(max_examples=300, deadline=None)
+    @given(layout=_layouts(), data=st.data())
+    def test_read_c_string_matches_per_byte_reads(self, layout, data):
+        text = data.draw(st.lists(st.one_of(st.integers(1, 255), _CELLS),
+                                  max_size=40))
+        limit = data.draw(st.just(1 << 20) | st.integers(-1, 50))
+        fast, addr = _build(layout)
+        slow, _ = _build(layout)
+        for space in (fast, slow):
+            space.cells.update(zip(range(addr, addr + len(text)), text))
+
+        def per_byte():
+            out = []
+            for i in range(limit):
+                b = slow.read(addr + i, self.LOC)
+                if not isinstance(b, int):
+                    raise InterpError(
+                        f"non-character cell in string at 0x{addr + i:x}",
+                        self.LOC)
+                if b == 0:
+                    return "".join(map(chr, out))
+                out.append(b & 0xFF)
+            raise InterpError(f"unterminated string at 0x{addr:x}",
+                              self.LOC)
+
+        assert _outcome(fast, lambda: fast.read_c_string(
+            addr, self.LOC, limit)) == _outcome(slow, per_byte)
 
     def test_fast_path_crosses_pages(self, space):
         addr = space.alloc(9000)

@@ -136,6 +136,7 @@ class TestLockChecks:
         }
         """)
         assert any(r.kind is DiagKind.LOCK_NOT_HELD
+                   and r.detail == "required lock: locked(right)"
                    for r in result.reports)
 
     def test_struct_field_lock_resolved_through_instance(self):

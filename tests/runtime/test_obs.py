@@ -24,9 +24,10 @@ from repro.obs.export import (
     write_jsonl,
 )
 from repro.obs.history import AccessHistory
+from repro.runtime import interp as interp_module
 from repro.runtime.interp import run_checked
 from repro.sharc.checker import check_source
-from repro.sharc.reports import Access, Report, write_conflict
+from repro.sharc.reports import Access, Report
 
 
 CLEAN = """
@@ -217,8 +218,8 @@ class TestChromeTrace:
 
 class TestJsonl:
     def test_records_and_validation(self):
-        report = write_conflict(
-            0x10, Access(1, "x", Loc("a.c", 1)),
+        report = Report(
+            DiagKind.WRITE_CONFLICT, 0x10, Access(1, "x", Loc("a.c", 1)),
             Access(2, "x", Loc("a.c", 2)))
         records = jsonl_records(_sample_events(), [report], {1: "main"},
                                 meta={"file": "a.c"})
@@ -243,8 +244,8 @@ class TestJsonl:
 
     def test_write_read_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        report = write_conflict(
-            0x10, Access(1, "x", Loc("a.c", 1)),
+        report = Report(
+            DiagKind.WRITE_CONFLICT, 0x10, Access(1, "x", Loc("a.c", 1)),
             Access(2, "x", Loc("a.c", 2)),
             history=(Access(2, "x", Loc("a.c", 2), mode="w"),))
         events = _sample_events()
@@ -308,6 +309,28 @@ class TestRuntimeTraces:
         rendered = report.render()
         assert rendered.count(" hist(") >= 2
         assert "[r] " in rendered or "[w] " in rendered
+
+    @pytest.mark.parametrize("backend", ["interp", "compiled"])
+    def test_repeated_conflict_builds_one_report_per_key(
+            self, backend, monkeypatch):
+        """A repeat of a reported key only bumps its count: neither the
+        report nor its history is built again."""
+        checked = _checked(RACY)
+        untraced = run_checked(checked, seed=7, backend=backend)
+        built, fetched = [], []
+        monkeypatch.setattr(interp_module, "Report",
+                            lambda *a: built.append(a) or Report(*a))
+        provenance = AccessHistory.provenance
+        monkeypatch.setattr(
+            AccessHistory, "provenance",
+            lambda *a: fetched.append(a) or provenance(*a))
+        traced = run_checked(checked, seed=7, backend=backend,
+                             trace=TraceConfig())
+        assert traced.report_counts == untraced.report_counts
+        assert sum(traced.report_counts.values()) > len(traced.reports)
+        assert len(built) == len(fetched) == len(traced.reports) \
+            == len(traced.report_counts)
+        assert all(r.history for r in traced.reports)
 
     def test_trace_filter_restricts_categories(self):
         checked = _checked(RACY)

@@ -72,6 +72,7 @@ class TestOneref:
         }
         """, seed=1)
         assert any(r.kind is DiagKind.ONEREF_FAILED
+                   and r.detail == "reference count is 2, expected 1"
                    for r in result.reports)
 
     def test_reference_in_struct_field_counted(self):

@@ -43,6 +43,21 @@ class TestChannels:
         assert world.recv(0, 10) == b"lo"
         assert world.recv(0, 10) == b""
 
+    def test_recv_of_no_bytes_consumes_nothing(self):
+        world = World()
+        world.feed_channel(0, b"abc")
+        assert world.recv(0, 0) == b""
+        assert world.recv(0, -2) == b""
+        assert world.recv(0, 3) == b"abc"
+
+    def test_recv_below_and_above_the_queued_length(self):
+        world = World()
+        world.feed_channel(4, b"hello world")
+        assert world.recv(4, 5) == b"hello"
+        world.feed_channel(4, b"!")
+        assert world.recv(4, 100) == b" world!"
+        assert not world.recv_ready(4)
+
     def test_recv_ready(self):
         world = World()
         assert not world.recv_ready(2)

@@ -6,15 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import DiagKind, Loc
-from repro.sharc.reports import (
-    Access, Report, lock_not_held, oneref_failed, read_conflict,
-    write_conflict,
-)
+from repro.sharc.reports import Access, Report, oneref_detail
 
 
 def test_read_conflict_matches_paper_layout():
-    report = read_conflict(
-        0x75324464,
+    report = Report(
+        DiagKind.READ_CONFLICT, 0x75324464,
         Access(2, "S->sdata", Loc("pipeline_test.c", 15)),
         Access(1, "nextS->sdata", Loc("pipeline_test.c", 27)))
     assert report.render() == (
@@ -24,8 +21,8 @@ def test_read_conflict_matches_paper_layout():
 
 
 def test_write_conflict_kind():
-    report = write_conflict(
-        0x75324544,
+    report = Report(
+        DiagKind.WRITE_CONFLICT, 0x75324544,
         Access(2, "*(fdata + i)", Loc("pipeline_test.c", 52)),
         Access(3, "*(fdata + i)", Loc("pipeline_test.c", 62)))
     assert report.kind is DiagKind.WRITE_CONFLICT
@@ -33,8 +30,9 @@ def test_write_conflict_kind():
 
 
 def test_lock_not_held_names_the_lock():
-    report = lock_not_held(0x100, Access(1, "counter", Loc("a.c", 5)),
-                           "locked(lk)")
+    report = Report(DiagKind.LOCK_NOT_HELD, 0x100,
+                    Access(1, "counter", Loc("a.c", 5)),
+                    detail="required lock: locked(lk)")
     text = report.render()
     assert "lock not held" in text
     assert "required lock: locked(lk)" in text
@@ -42,19 +40,22 @@ def test_lock_not_held_names_the_lock():
 
 
 def test_oneref_includes_count():
-    report = oneref_failed(0x200, Access(2, "ldata", Loc("a.c", 17)), 3)
+    report = Report(DiagKind.ONEREF_FAILED, 0x200,
+                    Access(2, "ldata", Loc("a.c", 17)),
+                    detail=oneref_detail(3))
     assert "reference count is 3" in report.render()
 
 
 def test_str_is_render():
-    report = lock_not_held(0x1, Access(1, "x", Loc("a.c", 1)), "m")
+    report = Report(DiagKind.LOCK_NOT_HELD, 0x1,
+                    Access(1, "x", Loc("a.c", 1)), detail="required lock: m")
     assert str(report) == report.render()
 
 
 def test_reports_are_frozen_values():
     a = Access(1, "x", Loc("a.c", 1))
-    r1 = read_conflict(5, a, a)
-    r2 = read_conflict(5, a, a)
+    r1 = Report(DiagKind.READ_CONFLICT, 5, a, a)
+    r2 = Report(DiagKind.READ_CONFLICT, 5, a, a)
     assert r1 == r2
 
 
@@ -63,7 +64,8 @@ def test_history_renders_hist_lines_with_modes():
     last = Access(2, "counter", Loc("racy.c", 6))
     history = (Access(2, "counter", Loc("racy.c", 6), mode="w"),
                Access(1, "counter", Loc("racy.c", 12), mode="r"))
-    text = write_conflict(0x10040, who, last, history).render()
+    text = Report(DiagKind.WRITE_CONFLICT, 0x10040, who, last,
+                  history=history).render()
     assert " hist(2) [w] counter @ racy.c: 6" in text
     assert " hist(1) [r] counter @ racy.c: 12" in text
 
