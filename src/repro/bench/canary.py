@@ -36,7 +36,7 @@ from repro.bench.interp_bench import (bench_payload, bench_workloads,
 
 DEFAULT_FACTOR = 3.0
 #: same-run compiled/interp ratio each workload must clear (0 = off);
-#: measured speedups are 2.7-6.8x but single-shot ratios swing ±30%%
+#: measured speedups are 2.3-4.9x but single-shot ratios swing ±30%%
 #: under runner load, so the floor sits at 1.5x
 DEFAULT_MIN_SPEEDUP = 1.5
 #: fast subset: the two cheapest workloads keep the CI gate under a few

@@ -1,11 +1,16 @@
 """AST node definitions for the mini-C subset ("cast" = C AST).
 
-Nodes are plain dataclasses.  Two attributes are filled in by later phases
-and start out empty:
-
-- ``Expr.ctype`` — the qualified type computed by the SharC type checker,
-- ``Expr.checks`` — the runtime checks attached by the instrumenter
-  (the ``when`` guards of the paper's Figure 4, generalized).
+Nodes are plain dataclasses.  Later phases fill in ``Expr.ctype`` and
+set *marks*, attributes that are not fields, each declared below as a
+class-level default on the class it lands on: a reader says
+``node.mark`` and an instance dict holds only the marks set on it.
+Typing sets ``sharc_struct``, ``sharc_offset``, ``sharc_elem_size``,
+``sharc_on_array``, ``str_type``, ``builtin_sig`` and ``src_lv``;
+checking ``sharc_reg``, ``sharc_read``, ``sharc_write``,
+``sharc_oneref``, ``sharc_src_write`` and ``arg_access``;
+instrumentation ``rc_track`` and ``rc_locals``.  The other marks are
+memos of the passes and executors that read them.  Each node class
+also declares its ``KIND`` (an ``E_*`` or ``S_*`` code) to dispatch on.
 """
 
 from __future__ import annotations
@@ -15,6 +20,14 @@ from typing import Optional, Union
 
 from repro.errors import Loc
 from repro.cfront.ctypes import QualType, StructTable
+
+
+#: expression kinds (``Expr.KIND``)
+(E_LIT, E_NULL, E_STR, E_SIZEOF, E_IDENT, E_MEMBER, E_INDEX, E_UNOP,
+ E_BINOP, E_ASSIGN, E_CALL, E_CAST, E_SCAST, E_COND, E_COMMA) = range(15)
+#: statement kinds (``Stmt.KIND``)
+(S_COMPOUND, S_DECL, S_EXPR, S_IF, S_WHILE, S_DOWHILE, S_FOR, S_RETURN,
+ S_BREAK, S_CONTINUE) = range(10)
 
 
 # ---------------------------------------------------------------------------
@@ -30,36 +43,52 @@ class Expr:
     ctype: Optional[QualType] = field(default=None, kw_only=True, repr=False)
     checks: list = field(default_factory=list, kw_only=True, repr=False)
 
+    KIND = -1
+    # marks (see the module docstring): class attributes, not fields
+    rc_track = sharc_reg = sharc_oneref = sharc_on_array = False
+    sharc_flat_addr = sharc_is_arr = False
+    sharc_read = sharc_write = sharc_src_write = sharc_flat = None
+    sharc_binop = sharc_size = sharc_step = sharc_lvalue = None
+    sharc_elem_size = sharc_offset = sharc_struct = None
+
 
 @dataclass
 class Ident(Expr):
     name: str
+    KIND = E_IDENT
 
 
 @dataclass
 class IntLit(Expr):
     value: int
+    KIND = E_LIT
 
 
 @dataclass
 class FloatLit(Expr):
     value: float
+    KIND = E_LIT
 
 
 @dataclass
 class CharLit(Expr):
     value: int
+    KIND = E_LIT
 
 
 @dataclass
 class StrLit(Expr):
     value: str
+    KIND = E_STR
+    str_type = None
 
 
 @dataclass
 class NullLit(Expr):
     """The ``NULL`` literal (also produced by integer 0 in pointer
     contexts during type checking)."""
+
+    KIND = E_NULL
 
 
 @dataclass
@@ -71,6 +100,7 @@ class Unop(Expr):
     op: str
     operand: Expr
     postfix: bool = False
+    KIND = E_UNOP
 
 
 @dataclass
@@ -80,6 +110,7 @@ class Binop(Expr):
     op: str
     lhs: Expr
     rhs: Expr
+    KIND = E_BINOP
 
 
 @dataclass
@@ -89,12 +120,16 @@ class Assign(Expr):
     op: str
     lhs: Expr
     rhs: Expr
+    KIND = E_ASSIGN
 
 
 @dataclass
 class Call(Expr):
     callee: Expr
     args: list[Expr] = field(default_factory=list)
+    KIND = E_CALL
+    builtin_sig = None
+    arg_access = None
 
 
 @dataclass
@@ -104,12 +139,14 @@ class Member(Expr):
     obj: Expr
     name: str
     arrow: bool = False
+    KIND = E_MEMBER
 
 
 @dataclass
 class Index(Expr):
     arr: Expr
     idx: Expr
+    KIND = E_INDEX
 
 
 @dataclass
@@ -118,6 +155,7 @@ class CastExpr(Expr):
 
     to: QualType
     expr: Expr
+    KIND = E_CAST
 
 
 @dataclass
@@ -127,6 +165,8 @@ class SCastExpr(Expr):
 
     to: QualType
     expr: Expr
+    KIND = E_SCAST
+    src_lv = None
 
 
 @dataclass
@@ -134,11 +174,13 @@ class CondExpr(Expr):
     cond: Expr
     then: Expr
     other: Expr
+    KIND = E_COND
 
 
 @dataclass
 class CommaExpr(Expr):
     parts: list[Expr] = field(default_factory=list)
+    KIND = E_COMMA
 
 
 @dataclass
@@ -147,6 +189,7 @@ class SizeofExpr(Expr):
 
     of_type: Optional[QualType] = None
     of_expr: Optional[Expr] = None
+    KIND = E_SIZEOF
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +203,9 @@ class Stmt:
 
     loc: Loc = field(default_factory=Loc, kw_only=True)
 
+    KIND = -1
+    sharc_flat = None
+
 
 @dataclass
 class VarDecl:
@@ -171,20 +217,25 @@ class VarDecl:
     storage: Optional[str] = None  # "extern" | "static" | None
     loc: Loc = field(default_factory=Loc)
 
+    rc_track = False
+
 
 @dataclass
 class DeclStmt(Stmt):
     decls: list[VarDecl] = field(default_factory=list)
+    KIND = S_DECL
 
 
 @dataclass
 class ExprStmt(Stmt):
     expr: Expr = None  # type: ignore[assignment]
+    KIND = S_EXPR
 
 
 @dataclass
 class Compound(Stmt):
     stmts: list[Stmt] = field(default_factory=list)
+    KIND = S_COMPOUND
 
 
 @dataclass
@@ -192,18 +243,21 @@ class If(Stmt):
     cond: Expr = None  # type: ignore[assignment]
     then: Stmt = None  # type: ignore[assignment]
     other: Optional[Stmt] = None
+    KIND = S_IF
 
 
 @dataclass
 class While(Stmt):
     cond: Expr = None  # type: ignore[assignment]
     body: Stmt = None  # type: ignore[assignment]
+    KIND = S_WHILE
 
 
 @dataclass
 class DoWhile(Stmt):
     body: Stmt = None  # type: ignore[assignment]
     cond: Expr = None  # type: ignore[assignment]
+    KIND = S_DOWHILE
 
 
 @dataclass
@@ -212,22 +266,22 @@ class For(Stmt):
     cond: Optional[Expr] = None
     step: Optional[Expr] = None
     body: Stmt = None  # type: ignore[assignment]
+    KIND = S_FOR
 
 
 @dataclass
 class Return(Stmt):
     value: Optional[Expr] = None
+    KIND = S_RETURN
 
 
 @dataclass
 class Break(Stmt):
-    pass
-
+    KIND = S_BREAK
 
 @dataclass
 class Continue(Stmt):
-    pass
-
+    KIND = S_CONTINUE
 
 # ---------------------------------------------------------------------------
 # Top-level declarations
@@ -243,6 +297,9 @@ class FuncDef:
     param_names: list[str] = field(default_factory=list)
     body: Optional[Compound] = None
     loc: Loc = field(default_factory=Loc)
+
+    rc_locals = ()
+    sharc_locals = sharc_exprs = sharc_layout = None
 
 
 @dataclass

@@ -13,16 +13,18 @@ single generator frame.
 A scheduler item then resumes thread-body -> body (callees inlined the
 same way) and nothing else.
 
-Bit-identity contract (checked by the differential backend tests):
-identical ``steps_total`` at every observable point (yield,
+Bit-identity contract (checked by the identity oracle): an identical
+step clock (``Interp.clock()``) at every observable point (yield,
 ``history.record``, bus emission, raise), identical yield count per
 access and per loop back-edge, identical report text, identical
 scheduler RNG consumption.  The generated code follows the
 interpreter's cost model mechanically:
 
 - constant entry ticks accumulate in a compile-time counter and are
-  flushed as one ``I._pending += k`` before anything observable — a
-  yield, a check, a possible ``InterpError``, a call, a bus emission;
+  flushed as one ``I._pending += k`` (plus ``steps_checks`` for a check
+  tick) before anything observable — a yield, a check, a possible
+  ``InterpError``, a call, a bus emission; the run loop moves them
+  into ``steps_total`` when the body yields them;
 - raising operations (division, null-pointer guards, unknown callees)
   flush first, so an aborted run's clock matches the tree-walker's;
 - each non-register memory access compiles to the inlined
@@ -69,14 +71,14 @@ from repro.cfront import cast as A
 from repro.runtime.addrspace import PAGE_SIZE
 from repro.runtime.builtins import IMPLS
 from repro.runtime.dyncheck import dynamic_check
+from repro.cfront.cast import (
+    E_ASSIGN, E_BINOP, E_CALL, E_CAST, E_COMMA, E_COND, E_IDENT, E_INDEX,
+    E_LIT, E_MEMBER, E_NULL, E_SCAST, E_SIZEOF, E_STR, E_UNOP, S_BREAK,
+    S_COMPOUND, S_CONTINUE, S_DECL, S_DOWHILE, S_EXPR, S_FOR, S_IF,
+    S_RETURN, S_WHILE,
+)
 from repro.runtime.interp import (
-    Frame, Interp, _Break, _Continue, _truthy, frame_layout,
-    _EXPR_KIND, _STMT_KIND, _BINOP_K,
-    _E_LIT, _E_NULL, _E_STR, _E_SIZEOF, _E_IDENT, _E_MEMBER, _E_INDEX,
-    _E_UNOP, _E_BINOP, _E_ASSIGN, _E_CALL, _E_CAST, _E_SCAST, _E_COND,
-    _E_COMMA,
-    _S_COMPOUND, _S_DECL, _S_EXPR, _S_IF, _S_WHILE, _S_DOWHILE, _S_FOR,
-    _S_RETURN, _S_BREAK, _S_CONTINUE,
+    Frame, Interp, _Break, _Continue, _truthy, frame_layout, _BINOP_K,
     _B_ANDAND, _B_OROR, _B_ADD, _B_SUB, _B_MUL, _B_DIV, _B_MOD, _B_EQ,
     _B_NE, _B_LT, _B_GT, _B_LE, _B_GE, _B_BAND, _B_BOR, _B_XOR, _B_SHL,
     _B_SHR,
@@ -138,13 +140,13 @@ class FunctionCodegen:
         types += [d.qtype for d in collect_local_decls(func)]
         if any(qt.is_struct or qt.is_array for qt in types):
             return frozenset()
-        cells = set(getattr(func, "rc_locals", ()))
+        cells = set(func.rc_locals)
         for e in function_exprs(func):
             if isinstance(e, A.Unop) and e.op == "&" \
                     and isinstance(e.operand, A.Ident) \
                     and e.operand.name in self.offsets:
                 return frozenset()
-            if getattr(e, "rc_track", False):  # an Assign or SCAST
+            if e.rc_track:  # an Assign or SCAST
                 target = e.expr if isinstance(e, A.SCastExpr) else e.lhs
                 if isinstance(target, A.Ident):
                     cells.add(target.name)
@@ -183,8 +185,7 @@ class FunctionCodegen:
     def flush(self) -> None:
         if self.pend:
             check = "; st.steps_checks += 1" if self.pend_check else ""
-            self.w(f"I._pending += {self.pend}; "
-                   f"st.steps_total += {self.pend}{check}")
+            self.w(f"I._pending += {self.pend}{check}")
             self.pend = 0
             self.pend_check = False
 
@@ -318,8 +319,8 @@ class FunctionCodegen:
         expression (inline for locals/globals, a temp otherwise).
         Charges the interpreter's ``eval_lvalue`` entry tick."""
         self.tick(1)
-        k = _EXPR_KIND.get(e.__class__, -1)
-        if k == _E_IDENT:
+        k = e.KIND
+        if k == E_IDENT:
             name = e.name
             if name in self.offsets:
                 return f"(slab + {self.offsets[name]})"
@@ -329,7 +330,7 @@ class FunctionCodegen:
             self.w(f"raise InterpError({f'no storage for {name!r}'!r}, "
                    f"{self.const(e.loc)})")
             return "0"  # unreachable
-        if k == _E_UNOP and e.op == "*":
+        if k == E_UNOP and e.op == "*":
             v = self.gen_expr(e.operand)
             self.flush()
             t = self.tmp()
@@ -339,8 +340,8 @@ class FunctionCodegen:
                    f"{self.const(e.loc)})")
             self.w(f"{t} = int({t})")
             return t
-        if k == _E_MEMBER:
-            offset = getattr(e, "sharc_offset", None)
+        if k == E_MEMBER:
+            offset = e.sharc_offset
             if offset is None:
                 self.flush()
                 self.w(f"raise InterpError("
@@ -357,15 +358,15 @@ class FunctionCodegen:
                    f"{self.const(e.loc)})")
             self.w(f"{t} = int({t}) + {offset}")
             return t
-        if k == _E_INDEX:
-            elem_size = getattr(e, "sharc_elem_size", None)
+        if k == E_INDEX:
+            elem_size = e.sharc_elem_size
             if elem_size is None:
                 self.flush()
                 self.w(f"raise InterpError("
                        f"'index was not resolved statically', "
                        f"{self.const(e.loc)})")
                 return "0"
-            if getattr(e, "sharc_on_array", False):
+            if e.sharc_on_array:
                 base = self.gen_lvalue(e.arr)
             else:
                 base = self.gen_expr(e.arr)
@@ -437,7 +438,7 @@ class FunctionCodegen:
         folded in at compile time."""
         src = e.expr
         addr = self.gen_lvalue(src)
-        if getattr(src, "sharc_reg", False):
+        if src.sharc_reg:
             # _do_read's register path: plain load, no census/yield.
             if self.is_safe_addr(addr):
                 vt = self.fast_read(addr)
@@ -450,11 +451,11 @@ class FunctionCodegen:
             vt = self.gen_read_access(src, addr)
         loc = self.const(e.loc)
         size = self._sizeof(src)
-        info = getattr(e, "sharc_src_write", None)
+        info = e.sharc_src_write
         self.flush()
         if info is not None:
             self._emit_check(info, addr, size, True)
-        rc = getattr(e, "rc_track", False)
+        rc = e.rc_track
         if self.is_safe_addr(addr):
             ot = self.fast_write(addr, "0", want_old=rc)
         elif rc:
@@ -468,7 +469,7 @@ class FunctionCodegen:
                f"th.tid, addr='0x%x' % {addr})")
         if rc:
             self.w(f"I._rc_write(th, {addr}, {ot}, 0)")
-        if getattr(e, "sharc_oneref", False):
+        if e.sharc_oneref:
             ptxt = pretty_expr(src)
             bt, ct, cot, bkt = (self.tmp(), self.tmp(), self.tmp(),
                                 self.tmp())
@@ -499,7 +500,7 @@ class FunctionCodegen:
         """The ``_do_read`` sequence for a non-register access at
         ``addr``: census, check, one yield, load.  Returns a temp."""
         size = self._sizeof(e)
-        info = getattr(e, "sharc_read", None)
+        info = e.sharc_read
         safe = safe or self.is_safe_addr(addr)
         self.flush()
         if self.is_slab_addr(addr) or self._reuse(addr):
@@ -527,7 +528,7 @@ class FunctionCodegen:
         expression (masked for a 1-byte target), which is also the
         value of the assignment or prefix ``++``/``--``."""
         size = self._sizeof(e)
-        info = getattr(e, "sharc_write", None)
+        info = e.sharc_write
         safe = safe or self.is_safe_addr(addr)
         self.flush()
         if size == 1:
@@ -568,28 +569,28 @@ class FunctionCodegen:
         with effects is materialized into a temp at its evaluation
         position."""
         self.tick(1)
-        k = _EXPR_KIND.get(e.__class__, -1)
-        if k == _E_LIT:
+        k = e.KIND
+        if k == E_LIT:
             return repr(e.value)
-        if k == _E_NULL:
+        if k == E_NULL:
             return "0"
-        if k == _E_IDENT:
+        if k == E_IDENT:
             return self._gen_ident(e)
-        if k == _E_BINOP:
+        if k == E_BINOP:
             return self._gen_binop(e)
-        if k == _E_MEMBER or k == _E_INDEX or (
-                k == _E_UNOP and e.op == "*"):
+        if k == E_MEMBER or k == E_INDEX or (
+                k == E_UNOP and e.op == "*"):
             addr = self.gen_lvalue(e)  # charges the eval_lvalue entry
             if self._is_array(e):
                 return addr
             return self.gen_read_access(e, addr)
-        if k == _E_UNOP:
+        if k == E_UNOP:
             return self._gen_unop(e)
-        if k == _E_ASSIGN:
+        if k == E_ASSIGN:
             return self._gen_assign(e)
-        if k == _E_CALL:
+        if k == E_CALL:
             return self._gen_call(e)
-        if k == _E_STR:
+        if k == E_STR:
             t = self.tmp()
             text = self.const(e.value)
             self.w(f"{t} = I._strings.get({text})")
@@ -597,17 +598,17 @@ class FunctionCodegen:
             self.w(f"    {t} = I._strings[{text}] = "
                    f"space.alloc_c_string({text})")
             return t
-        if k == _E_SIZEOF:
+        if k == E_SIZEOF:
             if e.of_type is not None:
                 return repr(e.of_type.base.size(self.structs))
             return repr(self._sizeof(e.of_expr))
-        if k == _E_CAST:
+        if k == E_CAST:
             return self._gen_cast(e)
-        if k == _E_SCAST:
+        if k == E_SCAST:
             return self._gen_scast(e)
-        if k == _E_COND:
+        if k == E_COND:
             return self._gen_cond(e)
-        if k == _E_COMMA:
+        if k == E_COMMA:
             t = self.tmp()
             self.w(f"{t} = 0")
             for part in e.parts:
@@ -623,7 +624,7 @@ class FunctionCodegen:
             if self._is_array(e):
                 self.tick(1)
                 return f"(slab + {off})"
-            if getattr(e, "sharc_reg", False):
+            if e.sharc_reg:
                 self.tick(1)
                 return self.fast_read(f"(slab + {off})")
             self.tick(1)
@@ -668,8 +669,8 @@ class FunctionCodegen:
         if qt is not None and qt.is_pointer:
             scale = qt.pointee().base.size(self.structs)
         delta = scale if e.op == "++" else -scale
-        rc = getattr(e, "rc_track", False)
-        if getattr(operand, "sharc_reg", False):
+        rc = e.rc_track
+        if operand.sharc_reg:
             self.tick(1)  # eval_lvalue entry (register: no access seq)
             off = self.offsets[operand.name]
             addr = f"(slab + {off})"
@@ -861,15 +862,15 @@ class FunctionCodegen:
             size = lhs_qt.base.size(self.structs)
             self.flush()
             for info, addr, is_write in (
-                    (getattr(lhs, "sharc_write", None), dst, True),
-                    (getattr(e.rhs, "sharc_read", None), src, False)):
+                    (lhs.sharc_write, dst, True),
+                    (e.rhs.sharc_read, src, False)):
                 if info is not None:
                     self._emit_check(info, addr, size, is_write)
             self.w(f"space.copy_range({dst}, {src}, {size}, "
                    f"{self.const(e.loc)})")
             self.w("st.accesses_total += 2; st.writes += 1; st.reads += 1")
             return "0"
-        rc = getattr(e, "rc_track", False)
+        rc = e.rc_track
         compound = e.op != "="
         # x op= v: the binary operator's arm over the old value
         opk = _BINOP_K[self._COMPOUND[e.op]] if compound else -1
@@ -879,7 +880,7 @@ class FunctionCodegen:
         else:
             vt = self.tmp()
             self.w(f"{vt} = {rv}")
-        if getattr(lhs, "sharc_reg", False):
+        if lhs.sharc_reg:
             self.tick(1)  # eval_lvalue entry
             off = self.offsets[lhs.name]
             addr = f"(slab + {off})"
@@ -1017,15 +1018,15 @@ class FunctionCodegen:
     # -- statements --------------------------------------------------------
 
     def gen_stmt(self, s: A.Stmt) -> None:
-        k = _STMT_KIND.get(s.__class__, -1)
-        if k == _S_EXPR:
+        k = s.KIND
+        if k == S_EXPR:
             self.gen_expr(s.expr)
             return
-        if k == _S_COMPOUND:
+        if k == S_COMPOUND:
             for sub in s.stmts:
                 self.gen_stmt(sub)
             return
-        if k == _S_DECL:
+        if k == S_DECL:
             for d in s.decls:
                 if d.init is None:
                     continue
@@ -1041,7 +1042,7 @@ class FunctionCodegen:
                     self.w(f"if isinstance({vt}, int): "
                            f"{vt} = {vt} & 0xFF")
                 addr = f"(slab + {off})"
-                if getattr(d, "rc_track", False):
+                if d.rc_track:
                     ot = self.fast_write(addr, vt, want_old=True)
                     self.w("st.accesses_total += 1; st.writes += 1")
                     self.w(f"I._rc_write(th, {addr}, {ot}, {vt})")
@@ -1049,7 +1050,7 @@ class FunctionCodegen:
                     self.fast_write(addr, vt)
                     self.w("st.accesses_total += 1; st.writes += 1")
             return
-        if k == _S_IF:
+        if k == S_IF:
             cv = self.gen_expr(s.cond)
             self.flush()
             self.w(f"if {self.truth(cv)}:")
@@ -1069,20 +1070,20 @@ class FunctionCodegen:
                 self.indent -= 1
             self.touched &= then_touched
             return
-        if k == _S_WHILE:
+        if k == S_WHILE:
             self._gen_loop(cond=s.cond, body=s.body)
             return
-        if k == _S_DOWHILE:
+        if k == S_DOWHILE:
             self._gen_dowhile(s)
             return
-        if k == _S_FOR:
+        if k == S_FOR:
             if isinstance(s.init, A.DeclStmt):
                 self.gen_stmt(s.init)
             elif s.init is not None:
                 self.gen_expr(s.init)
             self._gen_loop(cond=s.cond, body=s.body, step=s.step)
             return
-        if k == _S_RETURN:
+        if k == S_RETURN:
             if s.value is None:
                 self.flush()
                 self.w("return 0")
@@ -1091,14 +1092,14 @@ class FunctionCodegen:
             self.flush()
             self.w(f"return {v}")
             return
-        if k == _S_BREAK:
+        if k == S_BREAK:
             self.flush()
             if self.loop_modes and self.loop_modes[-1] == "exc":
                 self.w("raise _BRK()")
             else:
                 self.w("break")
             return
-        if k == _S_CONTINUE:
+        if k == S_CONTINUE:
             self.flush()
             if self.loop_modes and self.loop_modes[-1] == "exc":
                 self.w("raise _CNT()")

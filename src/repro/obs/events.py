@@ -14,9 +14,11 @@ Design constraints, in order:
    ``bus is not None`` (one attribute test), emission never touches any
    ``random.Random``, and events never feed back into the cost model.
 2. **Deterministic timestamps.**  Event time is the interpreter's
-   deterministic step counter (``RunStats.steps_total``), supplied as the
-   bus's ``clock``, not wall time — so the same seed yields the same
-   trace on any machine, and traces are diffable/testable.
+   deterministic step clock (``Interp.clock()``: ``RunStats.steps_total``
+   plus the ticks the running thread has charged since its last
+   yield), supplied as the bus's ``clock``, not wall time — so the same
+   seed yields the same trace on any machine, and traces are
+   diffable/testable.
 3. **Bounded.**  The ring holds at most ``buffer_size`` events (oldest
    dropped first).
 

@@ -183,8 +183,8 @@ class AddressSpace:
         if n > 0:
             self.check_access(dst + n - 1, loc)
         self.cells.update(dict.fromkeys(range(dst, dst + n), value))
-        for addr in range(dst, dst + n, PAGE_SIZE):
-            self.pages_touched.add(addr // PAGE_SIZE)
+        if n > 0:
+            self._touch_span(dst, n)
 
     def _live_span(self, addr: int, n: int) -> bool:
         """[addr, addr+n) is non-empty and inside one live block, now

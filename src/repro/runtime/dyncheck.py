@@ -9,7 +9,8 @@ tree-walker fetches the same closure through :func:`dynamic_check`,
 which builds it once per ``(size, is_write)`` and keeps it on the
 AccessInfo.  Like the compile artifact, a closure holds only static
 facts: every piece of execution state (shadow memory, stats, the
-``static`` switch) comes in through ``I``.
+``static`` switch) comes in through ``I``.  A check charges its ticks
+to ``I._pending`` and stamps the history with ``I.clock()``.
 
 A check takes the first branch that applies:
 
@@ -60,11 +61,10 @@ def make_dynamic_check(info, size: int, is_write: bool):
             site[I_SOLO] += 1
             site[I_COST] += 1
             I._pending += 1
-            stats.steps_total += 1
             stats.steps_checks += 1
             if I.history is not None:
                 I.history.record(addr, size, tid, lvtext, loc, is_write,
-                                 stats.steps_total)
+                                 I.clock())
             return
         shadow = I.shadow
         if elide and I.static \
@@ -86,9 +86,8 @@ def make_dynamic_check(info, size: int, is_write: bool):
             site[I_COST] += 1
             if I.history is not None:
                 I.history.record(addr, size, tid, lvtext, loc, is_write,
-                                 stats.steps_total)
+                                 I.clock())
             I._pending += 1
-            stats.steps_total += 1
             stats.steps_checks += 1
             if I.bus is not None:
                 I.bus.emit(CAT_CHECK, op, tid, dur=1, hit=True,
@@ -113,13 +112,12 @@ def make_dynamic_check(info, size: int, is_write: bool):
             I._report(kind, addr, tid, lvtext, loc, conflict, span=size)
         if I.history is not None:
             I.history.record(addr, size, tid, lvtext, loc, is_write,
-                             stats.steps_total)
+                             I.clock())
         # Fast path (bits already set): a load + test.  Slow path: a
         # cmpxchg per granule.
         cost = 1 + 3 * slow
         site[I_COST] += cost
         I._pending += cost
-        stats.steps_total += cost
         stats.steps_checks += cost
         if I.bus is not None:
             I.bus.emit(CAT_CHECK, op, tid, dur=cost, hit=(slow == 0),

@@ -38,10 +38,12 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import DiagKind, Loc
-from repro.sharc.reports import Access, Report
+from repro.errors import Loc
 
 GRANULE_SHIFT = 4
+
+#: the detail line of every Eraser report
+DETAIL = "eraser: candidate lockset is empty"
 
 #: Steps charged per monitored access (a shadow-word load, a state
 #: dispatch, and a lockset intersection).  Eraser's published overhead is
@@ -92,25 +94,28 @@ class EraserChecker:
 
     def on_access(self, addr: int, size: int, tid: int, is_write: bool,
                   held: frozenset[int], lvalue: str,
-                  loc: Loc) -> list[Report]:
-        """Processes one access; returns any new race reports."""
+                  loc: Loc) -> list[tuple]:
+        """Processes one access; returns the races it newly finds, each
+        as ``(granule address, who, last)`` with both accesses as
+        ``(tid, lvalue, loc)``.  The caller reports them (a write
+        conflict with :data:`DETAIL`)."""
         self.stats.accesses += 1
-        reports: list[Report] = []
+        races: list[tuple] = []
         who = (tid, lvalue, loc)
         for granule in self._granules(addr, size):
             state = self.granules.get(granule)
             if state is None:
                 state = GranuleState()
                 self.granules[granule] = state
-            report = self._step(state, tid, is_write, held, who, granule)
-            if report is not None:
-                reports.append(report)
+            race = self._step(state, tid, is_write, held, who, granule)
+            if race is not None:
+                races.append(race)
             state.last = who
-        return reports
+        return races
 
     def _step(self, st: GranuleState, tid: int, is_write: bool,
               held: frozenset[int], who: tuple,
-              granule: int) -> Optional[Report]:
+              granule: int) -> Optional[tuple]:
         if st.state is LockState.VIRGIN:
             st.state = LockState.EXCLUSIVE
             st.owner = tid
@@ -135,7 +140,7 @@ class EraserChecker:
         return self._check(st, who, granule)
 
     def _check(self, st: GranuleState, who: tuple,
-               granule: int) -> Optional[Report]:
+               granule: int) -> Optional[tuple]:
         if st.state is not LockState.SHARED_MODIFIED:
             return None
         if st.lockset:  # some lock consistently protects the location
@@ -144,9 +149,7 @@ class EraserChecker:
             return None
         st.reported = True
         self.stats.reports += 1
-        return Report(DiagKind.WRITE_CONFLICT, granule << GRANULE_SHIFT,
-                      Access(*who), Access(*st.last),
-                      detail="eraser: candidate lockset is empty")
+        return granule << GRANULE_SHIFT, who, st.last
 
     def thread_exit(self, tid: int) -> None:
         """Eraser has no happens-before for thread exit: state persists.

@@ -24,6 +24,13 @@ takes the shadow walk; steps, reports and schedules are identical.
 Threads are Python generators yielding accumulated step costs (or
 ``("block", predicate, note)``); the scheduler interleaves them
 deterministically per seed, so every reported race is replayable.
+A tick is charged to ``Interp._pending`` alone; the run loop moves what
+a thread yields, and what it charged before its burst ended or it
+stopped, into ``RunStats.steps_total``.  Readers in mid-burst (the bus
+clock, history stamps) read :meth:`Interp.clock`, the sum of the two.
+The AST marks and memos read here, and each node's ``KIND``, are
+declared on the node classes (:mod:`repro.cfront.cast`), so every read
+is a plain attribute read.
 
 Only a node that can reach a scheduling point runs as a generator.  A
 *flat* expression can never yield or touch a checked access: a literal,
@@ -61,6 +68,12 @@ from typing import NamedTuple, Optional
 
 from repro.errors import DiagKind, InterpError, Loc
 from repro.cfront import cast as A
+from repro.cfront.cast import (
+    E_ASSIGN, E_BINOP, E_CALL, E_CAST, E_COMMA, E_COND, E_IDENT, E_INDEX,
+    E_LIT, E_MEMBER, E_NULL, E_SCAST, E_SIZEOF, E_STR, E_UNOP, S_BREAK,
+    S_COMPOUND, S_CONTINUE, S_DECL, S_DOWHILE, S_EXPR, S_FOR, S_IF,
+    S_RETURN, S_WHILE,
+)
 from repro.cfront.pretty import pretty_expr
 from repro.obs.events import (
     CAT_CHECK, CAT_CONFLICT, CAT_SCAST, CAT_SCHED, TraceBus, TraceConfig,
@@ -76,7 +89,9 @@ from repro.sharc.typecheck import AccessInfo
 from repro.runtime.addrspace import PAGE_SIZE, AddressSpace
 from repro.runtime.builtins import IMPLS
 from repro.runtime.dyncheck import dynamic_check
-from repro.runtime.eraser import ACCESS_COST, EraserChecker
+from repro.runtime.eraser import (
+    ACCESS_COST, DETAIL as ERASER_DETAIL, EraserChecker,
+)
 from repro.runtime.locks import LockTable
 from repro.runtime.refcount import make_scheme
 from repro.runtime.scheduler import (
@@ -87,29 +102,14 @@ from repro.runtime.stats import RunStats
 from repro.runtime.world import World
 
 
-# -- expression/statement dispatch tags -----------------------------------
+# -- dispatch tags ---------------------------------------------------------
 #
 # ``eval_expr``/``_eval_flat``/``exec_stmt``/``_flat_addr`` are the
 # interpreter's hottest functions; a per-class isinstance chain costs
-# several failed checks per node.  One dict lookup mapping the node's
-# class to a small int, then integer comparisons ordered by measured
-# frequency, does the same dispatch at a fraction of the cost.
-
-(_E_LIT, _E_NULL, _E_STR, _E_SIZEOF, _E_IDENT, _E_MEMBER, _E_INDEX,
- _E_UNOP, _E_BINOP, _E_ASSIGN, _E_CALL, _E_CAST, _E_SCAST, _E_COND,
- _E_COMMA) = range(15)
-
-_EXPR_KIND = {
-    A.IntLit: _E_LIT, A.CharLit: _E_LIT, A.FloatLit: _E_LIT,
-    A.NullLit: _E_NULL, A.StrLit: _E_STR, A.SizeofExpr: _E_SIZEOF,
-    A.Ident: _E_IDENT, A.Member: _E_MEMBER, A.Index: _E_INDEX,
-    A.Unop: _E_UNOP, A.Binop: _E_BINOP, A.Assign: _E_ASSIGN,
-    A.Call: _E_CALL, A.CastExpr: _E_CAST, A.SCastExpr: _E_SCAST,
-    A.CondExpr: _E_COND, A.CommaExpr: _E_COMMA,
-}
-
-(_S_COMPOUND, _S_DECL, _S_EXPR, _S_IF, _S_WHILE, _S_DOWHILE, _S_FOR,
- _S_RETURN, _S_BREAK, _S_CONTINUE) = range(10)
+# several failed checks per node.  Each node class declares its kind as
+# a small int (``KIND``, :mod:`repro.cfront.cast`); integer comparisons
+# ordered by measured frequency do the same dispatch at a fraction of
+# the cost.  Binary operators get the same treatment per operator.
 
 (_B_ANDAND, _B_OROR, _B_ADD, _B_SUB, _B_MUL, _B_DIV, _B_MOD, _B_EQ,
  _B_NE, _B_LT, _B_GT, _B_LE, _B_GE, _B_BAND, _B_BOR, _B_XOR, _B_SHL,
@@ -120,13 +120,6 @@ _BINOP_K = {
     "*": _B_MUL, "/": _B_DIV, "%": _B_MOD, "==": _B_EQ, "!=": _B_NE,
     "<": _B_LT, ">": _B_GT, "<=": _B_LE, ">=": _B_GE, "&": _B_BAND,
     "|": _B_BOR, "^": _B_XOR, "<<": _B_SHL, ">>": _B_SHR,
-}
-
-_STMT_KIND = {
-    A.Compound: _S_COMPOUND, A.DeclStmt: _S_DECL, A.ExprStmt: _S_EXPR,
-    A.If: _S_IF, A.While: _S_WHILE, A.DoWhile: _S_DOWHILE,
-    A.For: _S_FOR, A.Return: _S_RETURN, A.Break: _S_BREAK,
-    A.Continue: _S_CONTINUE,
 }
 
 
@@ -192,7 +185,7 @@ def frame_layout(func: A.FuncDef, structs) -> FrameLayout:
     builds environments from it and the compiled backend
     (:mod:`repro.compile`) bakes the offsets into its generated code,
     so both backends place every local at the same address."""
-    layout = getattr(func, "sharc_layout", None)
+    layout = func.sharc_layout
     if layout is not None:
         return layout
     from repro.sharc.defaults import collect_local_decls
@@ -210,12 +203,12 @@ def frame_layout(func: A.FuncDef, structs) -> FrameLayout:
         offset = (offset + align - 1) // align * align
         offsets[name] = offset
         offset += size
-    tracked = dict.fromkeys(getattr(func, "rc_locals", ()))
+    tracked = dict.fromkeys(func.rc_locals)
     layout = FrameLayout(
         offsets, max(offset, 1),
         tuple((offsets[n], n in tracked) for n in func.param_names),
         tuple(offsets[n] for n in tracked if n in offsets))
-    func.sharc_layout = layout  # type: ignore[attr-defined]
+    func.sharc_layout = layout
     return layout
 
 
@@ -310,7 +303,7 @@ class Interp:
         self.history: Optional[AccessHistory] = None
         if trace is not None:
             self.bus = TraceBus(trace,
-                                clock=lambda: self.stats.steps_total)
+                                clock=self.clock)
             self.history = AccessHistory()
             self.shadow.history = self.history
             self.locks.bus = self.bus
@@ -321,7 +314,11 @@ class Interp:
 
     def _tick(self, n: int = 1) -> None:
         self._pending += n
-        self.stats.steps_total += n
+
+    def clock(self) -> int:
+        """The step clock: every tick charged so far, collected into
+        ``steps_total`` by the run loop or still pending."""
+        return self.stats.steps_total + self._pending
 
     def _charge_check(self, n: int = 1) -> None:
         self._tick(n)
@@ -343,11 +340,12 @@ class Interp:
         """Counts one violation under its key (kind, l-value, line, line
         of ``last``) and builds its :class:`Report` only when the key is
         new: a repeat costs one dict update.  ``last`` is the access it
-        conflicts with (any record with ``tid``, ``lvalue`` and ``loc``);
-        ``span`` bytes from ``addr`` give the history a traced run
-        attaches."""
+        conflicts with, a tuple that starts ``(tid, lvalue, loc)``: a
+        shadow :class:`~repro.runtime.shadow.LastAccess` or an Eraser
+        granule's last access; ``span`` bytes from ``addr`` give the
+        history a traced run attaches."""
         key = (kind.value, lvalue, loc.line,
-               -1 if last is None else last.loc.line)
+               -1 if last is None else last[2].line)
         count = self._report_keys.get(key)
         if count is not None:
             self._report_keys[key] = count + 1
@@ -357,7 +355,7 @@ class Interp:
                 if span is not None and self.history is not None else ())
         report = Report(kind, addr, Access(tid, lvalue, loc),
                         None if last is None
-                        else Access(last.tid, last.lvalue, last.loc),
+                        else Access(last[0], last[1], last[2]),
                         detail, hist)
         self.reports.append(report)
         if self.bus is not None:
@@ -379,18 +377,18 @@ class Interp:
                        thread: Thread, is_write: bool) -> None:
         """Lockset-baseline monitoring: every (non-register) access.
         The l-value text is memoized on the node, like its size."""
-        lvalue = getattr(node, "sharc_lvalue", None)
+        lvalue = node.sharc_lvalue
         if lvalue is None:
             try:
                 lvalue = pretty_expr(node)
             except TypeError:
                 lvalue = "<expr>"
-            node.sharc_lvalue = lvalue  # type: ignore[attr-defined]
-        for r in self.eraser.on_access(addr, size, thread.tid, is_write,
-                                       self.locks.held_by(thread.tid),
-                                       lvalue, node.loc):
-            self._report(r.kind, r.addr, r.who.tid, r.who.lvalue, r.who.loc,
-                         r.last, r.detail)
+            node.sharc_lvalue = lvalue
+        for granule, who, last in self.eraser.on_access(
+                addr, size, thread.tid, is_write,
+                self.locks.held_by(thread.tid), lvalue, node.loc):
+            self._report(DiagKind.WRITE_CONFLICT, granule, *who, last,
+                         ERASER_DETAIL)
         self._charge_check(ACCESS_COST)
 
     def _apply_check(self, info: AccessInfo, addr: int, size: int,
@@ -437,7 +435,7 @@ class Interp:
         if self.history is not None:
             self.history.record(addr, size, thread.tid,
                                 info.lvalue_text, info.loc, is_write,
-                                self.stats.steps_total)
+                                self.clock())
         if self.bus is not None:
             self.bus.emit(CAT_CHECK, "chklock", thread.tid, dur=1,
                           hit=held, lvalue=info.lvalue_text)
@@ -449,7 +447,7 @@ class Interp:
         it actually touched (Section 4.4)."""
         if not self.instrument:
             return
-        access = getattr(node, "arg_access", None)
+        access = node.arg_access
         if not access or arg_index not in access:
             return
         rw, info = access[arg_index]
@@ -468,7 +466,7 @@ class Interp:
             if self.history is not None:
                 self.history.record(addr, length, thread.tid,
                                     info.lvalue_text, info.loc, is_write,
-                                    self.stats.steps_total)
+                                    self.clock())
             return
         slow = 0
         conflict = None
@@ -492,7 +490,7 @@ class Interp:
         if self.history is not None and rw:
             self.history.record(addr, length, thread.tid,
                                 info.lvalue_text, info.loc, is_write,
-                                self.stats.steps_total)
+                                self.clock())
         cost = 1 + 3 * slow
         self._charge_check(cost)
         site[I_COST] += cost
@@ -534,7 +532,7 @@ class Interp:
         """Scalar size of an access through ``node``, memoized on the
         node: the type layout is static, so it is computed once per
         occurrence instead of on every execution."""
-        size = getattr(node, "sharc_size", None)
+        size = node.sharc_size
         if size is None:
             qt = node.ctype
             if qt is None:
@@ -544,7 +542,7 @@ class Interp:
                     size = qt.base.size(self.structs)
                 except KeyError:
                     size = 8
-            node.sharc_size = size  # type: ignore[attr-defined]
+            node.sharc_size = size
         return size
 
     def _access(self, node: A.Expr, addr: int, thread: Thread,
@@ -553,7 +551,9 @@ class Interp:
         event and dynamic check.  Returns the site's ``locked`` check
         when it has one, for the caller to run as a generator (its lock
         expression may yield)."""
-        size = self._sizeof_node(node)
+        size = node.sharc_size
+        if size is None:
+            size = self._sizeof_node(node)
         stats = self.stats
         stats.accesses_total += 1
         if is_write:
@@ -563,8 +563,7 @@ class Interp:
         if self.eraser is not None:
             self._eraser_access(node, addr, size, thread, is_write)
         if self.instrument:
-            info = getattr(node, "sharc_write" if is_write else "sharc_read",
-                           None)
+            info = node.sharc_write if is_write else node.sharc_read
             if info is not None:
                 if info.is_lock:
                     return info
@@ -611,10 +610,13 @@ class Interp:
         ``space.write``; an rc-tracked slot logs the write.  Returns the
         stored value, which is the value of an assignment or of a
         prefix ``++``/``--``."""
-        if isinstance(value, int) and self._sizeof_node(node) == 1:
+        size = node.sharc_size
+        if size is None:
+            size = self._sizeof_node(node)
+        if size == 1 and isinstance(value, int):
             value &= 0xFF
         space = self.space
-        if getattr(node, "sharc_reg", False):
+        if node.sharc_reg:
             space.pages_touched.add(addr // PAGE_SIZE)
             old = space.cells.get(addr, 0)
             space.cells[addr] = value
@@ -632,24 +634,21 @@ class Interp:
         (``sharc_flat_addr``, see :meth:`_is_flat`) goes to the plain
         :meth:`_flat_addr`.  Both charge one tick per l-value entry and
         share the address arithmetic and its null errors."""
-        flat = getattr(e, "sharc_flat_addr", None)
-        if flat is None:
+        if e.sharc_flat is None:
             self._is_flat(e)
-            flat = getattr(e, "sharc_flat_addr", False)
-        if flat:
+        if e.sharc_flat_addr:
             return self._flat_addr(e, thread, frame.env)
         self._pending += 1
-        self.stats.steps_total += 1
-        k = _EXPR_KIND.get(e.__class__, -1)
+        k = e.KIND
         env = frame.env
-        if k == _E_INDEX:
-            if getattr(e, "sharc_elem_size", None) is None:
+        if k == E_INDEX:
+            if e.sharc_elem_size is None:
                 raise InterpError("index was not resolved statically",
                                   e.loc)
             arr, idx = e.arr, e.idx
             if e.sharc_on_array:
                 base = (self._flat_addr(arr, thread, env)
-                        if getattr(arr, "sharc_flat_addr", False) else
+                        if arr.sharc_flat_addr else
                         (yield from self.eval_lvalue(arr, thread, frame)))
             else:
                 base = (self._eval_flat(arr, thread, env) if arr.sharc_flat
@@ -657,8 +656,8 @@ class Interp:
             idx = (self._eval_flat(idx, thread, env) if idx.sharc_flat
                    else (yield from self.eval_expr(idx, thread, frame)))
             return self._index_addr(e, base, idx)
-        if k == _E_MEMBER:
-            if getattr(e, "sharc_offset", None) is None:
+        if k == E_MEMBER:
+            if e.sharc_offset is None:
                 raise InterpError(
                     f"member {e.name!r} was not resolved statically",
                     e.loc)
@@ -668,10 +667,10 @@ class Interp:
                         else (yield from self.eval_expr(obj, thread, frame)))
             else:
                 base = (self._flat_addr(obj, thread, env)
-                        if getattr(obj, "sharc_flat_addr", False) else
+                        if obj.sharc_flat_addr else
                         (yield from self.eval_lvalue(obj, thread, frame)))
             return self._deref_addr(e, base) + e.sharc_offset
-        if k == _E_UNOP and e.op == "*":
+        if k == E_UNOP and e.op == "*":
             operand = e.operand
             addr = (self._eval_flat(operand, thread, env)
                     if operand.sharc_flat else
@@ -684,21 +683,20 @@ class Interp:
         calls: :meth:`eval_lvalue`'s address and ticks without its
         generator frames."""
         self._pending += 1
-        self.stats.steps_total += 1
-        k = _EXPR_KIND[e.__class__]
-        if k == _E_IDENT:
+        k = e.KIND
+        if k == E_IDENT:
             addr = env.get(e.name)
             if addr is None:
                 addr = self.globals_env.get(e.name)
                 if addr is None:
                     raise InterpError(f"no storage for {e.name!r}", e.loc)
             return addr
-        if k == _E_INDEX:
+        if k == E_INDEX:
             base = (self._flat_addr(e.arr, thread, env) if e.sharc_on_array
                     else self._eval_flat(e.arr, thread, env))
             return self._index_addr(e, base,
                                     self._eval_flat(e.idx, thread, env))
-        if k == _E_MEMBER:
+        if k == E_MEMBER:
             base = (self._eval_flat(e.obj, thread, env) if e.arrow
                     else self._flat_addr(e.obj, thread, env))
             return self._deref_addr(e, base) + e.sharc_offset
@@ -728,20 +726,19 @@ class Interp:
         code below sees only nodes that can yield.  It evaluates a
         binary operator and a memory read without a further generator;
         its branches are ordered by measured node frequency."""
-        flat = getattr(e, "sharc_flat", None)
+        flat = e.sharc_flat
         if flat is None:
             flat = self._is_flat(e)
         if flat:
             return self._eval_flat(e, thread, frame.env)
-        k = _EXPR_KIND.get(e.__class__, -1)
-        if k == _E_ASSIGN:
+        k = e.KIND
+        if k == E_ASSIGN:
             return (yield from self._eval_assign(e, thread, frame))
         self._pending += 1
-        self.stats.steps_total += 1
         env = frame.env
-        if k == _E_IDENT or k == _E_MEMBER or k == _E_INDEX or (
-                k == _E_UNOP and e.op == "*"):
-            if k == _E_IDENT:
+        if k == E_IDENT or k == E_MEMBER or k == E_INDEX or (
+                k == E_UNOP and e.op == "*"):
+            if k == E_IDENT:
                 name = e.name
                 if name not in env and (
                         name in self.functions
@@ -761,7 +758,7 @@ class Interp:
                                             frame, False)
             yield self._flush()
             return self.space.read(addr, e.loc)
-        if k == _E_BINOP:
+        if k == E_BINOP:
             meta = e.sharc_binop
             opk = meta[0]
             lhs = e.lhs
@@ -774,17 +771,17 @@ class Interp:
             rhs = (self._eval_flat(rhs, thread, env) if rhs.sharc_flat
                    else (yield from self.eval_expr(rhs, thread, frame)))
             return self._binop_value(e, meta, lhs, rhs)
-        if k == _E_UNOP:
+        if k == E_UNOP:
             op = e.op
             operand = e.operand
             if op == "++" or op == "--":  # on memory: a register is flat
                 addr = (self._flat_addr(operand, thread, env)
-                        if getattr(operand, "sharc_flat_addr", False) else
+                        if operand.sharc_flat_addr else
                         (yield from self.eval_lvalue(operand, thread, frame)))
                 old = yield from self._do_read(operand, addr, thread, frame)
                 new = yield from self._do_write(
                     operand, addr, (old or 0) + self._step(e), thread, frame,
-                    getattr(e, "rc_track", False))
+                    e.rc_track)
                 return old if e.postfix else new
             if op == "&":
                 return (yield from self.eval_lvalue(operand, thread, frame))
@@ -792,21 +789,21 @@ class Interp:
                      if operand.sharc_flat else
                      (yield from self.eval_expr(operand, thread, frame)))
             return self._unop_value(e, value)
-        if k == _E_CALL:
+        if k == E_CALL:
             return (yield from self._eval_call(e, thread, frame))
-        if k == _E_CAST:
+        if k == E_CAST:
             value = yield from self.eval_expr(e.expr, thread, frame)
             return self._cast_value(e, value)
-        if k == _E_SCAST:
+        if k == E_SCAST:
             return (yield from self._eval_scast(e, thread, frame))
-        if k == _E_COND:
+        if k == E_COND:
             cond = e.cond
             cond = (self._eval_flat(cond, thread, env) if cond.sharc_flat
                     else (yield from self.eval_expr(cond, thread, frame)))
             part = e.then if _truthy(cond) else e.other
             return (self._eval_flat(part, thread, env) if part.sharc_flat
                     else (yield from self.eval_expr(part, thread, frame)))
-        if k == _E_COMMA:
+        if k == E_COMMA:
             value = 0
             for part in e.parts:
                 value = (self._eval_flat(part, thread, env)
@@ -823,80 +820,78 @@ class Interp:
         evaluators read: ``sharc_is_arr`` on an l-value, ``sharc_binop``
         on a binary operator or ``op=``.  Children are decided first, so
         every node under a decided one is decided too."""
-        flat = getattr(e, "sharc_flat", None)
+        flat = e.sharc_flat
         if flat is not None:
             return flat
         for child in A.child_exprs(e):
             self._is_flat(child)
-        k = _EXPR_KIND.get(e.__class__, -1)
-        if k == _E_IDENT or k == _E_MEMBER or k == _E_INDEX or (
-                k == _E_UNOP and e.op == "*"):
-            if k == _E_IDENT:
+        k = e.KIND
+        if k == E_IDENT or k == E_MEMBER or k == E_INDEX or (
+                k == E_UNOP and e.op == "*"):
+            if k == E_IDENT:
                 addr = True
-            elif k == _E_MEMBER:
-                addr = getattr(e, "sharc_offset", None) is not None and (
+            elif k == E_MEMBER:
+                addr = e.sharc_offset is not None and (
                     e.obj.sharc_flat if e.arrow
-                    else getattr(e.obj, "sharc_flat_addr", False))
-            elif k == _E_INDEX:
-                addr = getattr(e, "sharc_elem_size", None) is not None and (
-                    getattr(e.arr, "sharc_flat_addr", False)
+                    else e.obj.sharc_flat_addr)
+            elif k == E_INDEX:
+                addr = e.sharc_elem_size is not None and (
+                    e.arr.sharc_flat_addr
                     if e.sharc_on_array else e.arr.sharc_flat
                 ) and e.idx.sharc_flat
             else:
                 addr = e.operand.sharc_flat
-            e.sharc_flat_addr = addr  # type: ignore[attr-defined]
+            e.sharc_flat_addr = addr
             qt = e.ctype
             is_arr = qt is not None and qt.is_array
-            e.sharc_is_arr = is_arr  # type: ignore[attr-defined]
+            e.sharc_is_arr = is_arr
             # an array evaluates to its address; a register local is
             # not a memory access
-            flat = addr and (is_arr or getattr(e, "sharc_reg", False))
-        elif k == _E_LIT or k == _E_NULL or k == _E_STR or k == _E_SIZEOF:
+            flat = addr and (is_arr or e.sharc_reg)
+        elif k == E_LIT or k == E_NULL or k == E_STR or k == E_SIZEOF:
             flat = True
-        elif k == _E_UNOP:
+        elif k == E_UNOP:
             op = e.op
             if op == "&":
-                flat = getattr(e.operand, "sharc_flat_addr", False)
+                flat = e.operand.sharc_flat_addr
             elif op == "++" or op == "--":
-                flat = getattr(e.operand, "sharc_reg", False)
+                flat = e.operand.sharc_reg
             else:
                 flat = op in ("-", "!", "~") and e.operand.sharc_flat
-        elif k == _E_BINOP:
-            e.sharc_binop = self._binop_meta(  # type: ignore[attr-defined]
+        elif k == E_BINOP:
+            e.sharc_binop = self._binop_meta(
                 e.op, e.lhs.ctype, e.rhs.ctype)
             flat = e.lhs.sharc_flat and e.rhs.sharc_flat
-        elif k == _E_ASSIGN:
+        elif k == E_ASSIGN:
             if e.op != "=":
-                e.sharc_binop = self._binop_meta(  # type: ignore
+                e.sharc_binop = self._binop_meta(
                     self._COMPOUND[e.op], e.lhs.ctype, e.rhs.ctype)
-            flat = e.rhs.sharc_flat and getattr(e.lhs, "sharc_reg", False)
-        elif k == _E_CAST:
+            flat = e.rhs.sharc_flat and e.lhs.sharc_reg
+        elif k == E_CAST:
             flat = e.expr.sharc_flat
         else:
             # calls and sharing casts can yield; ?: and comma are rare
             # and keep one evaluator each, the generator
             flat = False
-        e.sharc_flat = flat  # type: ignore[attr-defined]
+        e.sharc_flat = flat
         return flat
 
     def _eval_flat(self, e: A.Expr, thread: Thread, env: dict):
         """Evaluates a flat subtree with plain calls: :meth:`eval_expr`'s
         values and ticks without its generator frames."""
-        k = _EXPR_KIND[e.__class__]
-        if k == _E_IDENT and not e.sharc_is_arr:
+        k = e.KIND
+        if k == E_IDENT and not e.sharc_is_arr:
             # a register local: the eval_expr and eval_lvalue entries,
             # then _reg_load, inline
             self._pending += 2
-            self.stats.steps_total += 2
             addr = env[e.name]
             space = self.space
             space.pages_touched.add(addr // PAGE_SIZE)
             return space.cells.get(addr, 0)
         self._pending += 1
-        self.stats.steps_total += 1
-        if k == _E_LIT:
+        if k == E_LIT:
             return e.value
-        if k == _E_BINOP:
+        if k == E_BINOP:
             meta = e.sharc_binop
             opk = meta[0]
             lhs = self._eval_flat(e.lhs, thread, env)
@@ -905,10 +900,10 @@ class Interp:
                 return int(opk == _B_OROR)
             return self._binop_value(e, meta, lhs,
                                      self._eval_flat(e.rhs, thread, env))
-        if k == _E_ASSIGN:
+        if k == E_ASSIGN:
             return self._assign_reg(e, self._eval_flat(e.rhs, thread, env),
                                     thread, env)
-        if k == _E_UNOP:
+        if k == E_UNOP:
             op = e.op
             if op == "++" or op == "--":
                 return self._incdec_reg(e, thread, env)
@@ -916,15 +911,15 @@ class Interp:
                 return self._flat_addr(e.operand, thread, env)
             return self._unop_value(e, self._eval_flat(e.operand, thread,
                                                        env))
-        if k == _E_CAST:
+        if k == E_CAST:
             return self._cast_value(e, self._eval_flat(e.expr, thread, env))
-        if k == _E_NULL:
+        if k == E_NULL:
             return 0
-        if k == _E_STR:
+        if k == E_STR:
             if e.value not in self._strings:
                 self._strings[e.value] = self.space.alloc_c_string(e.value)
             return self._strings[e.value]
-        if k == _E_SIZEOF:
+        if k == E_SIZEOF:
             if e.of_type is not None:
                 return e.of_type.base.size(self.structs)
             return self._sizeof_node(e.of_expr)
@@ -956,7 +951,7 @@ class Interp:
         """What ``++``/``--`` adds to its operand: plus or minus the
         pointee size for a pointer, one otherwise.  Memoized on the
         node as ``sharc_step``."""
-        step = getattr(e, "sharc_step", None)
+        step = e.sharc_step
         if step is None:
             step = 1
             qt = e.operand.ctype
@@ -964,19 +959,18 @@ class Interp:
                 step = qt.pointee().base.size(self.structs)
             if e.op == "--":
                 step = -step
-            e.sharc_step = step  # type: ignore[attr-defined]
+            e.sharc_step = step
         return step
 
     def _incdec_reg(self, e: A.Unop, thread: Thread, env: dict):
         """``++``/``--`` on a register local, after its eval_expr entry:
         the l-value tick, the load, then :meth:`_store`."""
         self._pending += 1
-        self.stats.steps_total += 1
         operand = e.operand
         addr = env[operand.name]
         old = self._reg_load(addr)
         new = self._store(operand, addr, (old or 0) + self._step(e), thread,
-                          getattr(e, "rc_track", False))
+                          e.rc_track)
         return old if e.postfix else new
 
     def _ptr_scale(self, qt: Optional[QualType]) -> int:
@@ -1076,7 +1070,6 @@ class Interp:
         eval_expr entry, so an expression statement hands it over
         without :meth:`eval_expr`.  Returns the stored value."""
         self._pending += 1
-        self.stats.steps_total += 1
         lhs, rhs = e.lhs, e.rhs
         lhs_qt = lhs.ctype
         if e.op == "=" and lhs_qt is not None and lhs_qt.is_struct:
@@ -1085,11 +1078,11 @@ class Interp:
             dst = yield from self.eval_lvalue(lhs, thread, frame)
             size = lhs_qt.base.size(self.structs)
             if self.instrument:
-                info = getattr(lhs, "sharc_write", None)
+                info = lhs.sharc_write
                 if info is not None:
                     yield from self._apply_check(info, dst, size, thread,
                                                  frame, is_write=True)
-                rinfo = getattr(rhs, "sharc_read", None)
+                rinfo = rhs.sharc_read
                 if rinfo is not None:
                     yield from self._apply_check(rinfo, src, size, thread,
                                                  frame, is_write=False)
@@ -1101,10 +1094,10 @@ class Interp:
         env = frame.env
         value = (self._eval_flat(rhs, thread, env) if rhs.sharc_flat
                  else (yield from self.eval_expr(rhs, thread, frame)))
-        if getattr(lhs, "sharc_reg", False):
+        if lhs.sharc_reg:
             return self._assign_reg(e, value, thread, env)
         addr = (self._flat_addr(lhs, thread, env)
-                if getattr(lhs, "sharc_flat_addr", False)
+                if lhs.sharc_flat_addr
                 else (yield from self.eval_lvalue(lhs, thread, frame)))
         if e.op != "=":
             old = yield from self._do_read(lhs, addr, thread, frame)
@@ -1116,7 +1109,7 @@ class Interp:
                                         thread, frame, True)
         yield self._flush()
         return self._store(lhs, addr, value, thread,
-                           getattr(e, "rc_track", False))
+                           e.rc_track)
 
     def _assign_reg(self, e: A.Assign, value, thread: Thread, env: dict):
         """The rest of an assignment to a register local once its right
@@ -1124,14 +1117,13 @@ class Interp:
         load and the operator, then :meth:`_store`.  Shared by both
         expression paths; returns the stored value."""
         self._pending += 1
-        self.stats.steps_total += 1
         lhs = e.lhs
         addr = env[lhs.name]
         if e.op != "=":
             value = self._binop_value(e, e.sharc_binop, self._reg_load(addr),
                                       value)
         return self._store(lhs, addr, value, thread,
-                           getattr(e, "rc_track", False))
+                           e.rc_track)
 
     def _eval_scast(self, e: A.SCastExpr, thread: Thread, frame: Frame):
         """Figure 7: null out the source slot, then check the reference
@@ -1139,15 +1131,15 @@ class Interp:
         scast rule)."""
         src = e.expr
         addr = (self._flat_addr(src, thread, frame.env)
-                if getattr(src, "sharc_flat_addr", False) else
+                if src.sharc_flat_addr else
                 (yield from self.eval_lvalue(src, thread, frame)))
-        if getattr(src, "sharc_reg", False):
+        if src.sharc_reg:
             value = self._reg_load(addr)
         else:
             value = yield from self._do_read(src, addr, thread, frame)
         # Null out the source (checked as a write to the source's cell).
         if self.instrument:
-            info = getattr(e, "sharc_src_write", None)
+            info = e.sharc_src_write
             if info is not None:
                 size = self._sizeof_node(src)
                 yield from self._apply_check(info, addr, size, thread,
@@ -1158,9 +1150,9 @@ class Interp:
         if self.bus is not None:
             self.bus.emit(CAT_SCAST, "null-out", thread.tid,
                           addr=f"0x{addr:x}")
-        if getattr(e, "rc_track", False):
+        if e.rc_track:
             self._rc_write(thread, addr, old, 0)
-        if self.instrument and getattr(e, "sharc_oneref", False) and value:
+        if self.instrument and e.sharc_oneref and value:
             base = self._object_base(value)
             count, cost = self.rc.count(thread.tid, base, self._rc_peek)
             self._charge_rc(cost)
@@ -1217,7 +1209,7 @@ class Interp:
         if func.body is None:
             raise InterpError(f"call of undefined function {func.name!r}",
                               func.loc)
-        if getattr(func.body, "sharc_flat", None) is None:
+        if func.body.sharc_flat is None:
             self._mark_body(func.body)
         layout = frame_layout(func, self.structs)
         frame = Frame(func, slab_size=layout.size)
@@ -1253,7 +1245,7 @@ class Interp:
         for s in A.walk_stmts(body):
             for e in A.stmt_exprs(s):
                 self._is_flat(e)
-            s.sharc_flat = all(  # type: ignore[attr-defined]
+            s.sharc_flat = all(
                 sub.__class__ is A.ExprStmt and self._is_flat(sub.expr)
                 for sub in (s.stmts if s.__class__ is A.Compound else (s,)))
 
@@ -1288,8 +1280,8 @@ class Interp:
         with plain calls."""
         env = frame.env
         for s in s.stmts if s.__class__ is A.Compound else (s,):
-            k = _STMT_KIND.get(s.__class__, -1)
-            if k == _S_EXPR:
+            k = s.KIND
+            if k == S_EXPR:
                 e = s.expr
                 if e.sharc_flat:
                     self._eval_flat(e, thread, env)
@@ -1297,7 +1289,7 @@ class Interp:
                     yield from self._eval_assign(e, thread, frame)
                 else:
                     yield from self.eval_expr(e, thread, frame)
-            elif k == _S_IF:
+            elif k == S_IF:
                 cond = s.cond
                 cond = (self._eval_flat(cond, thread, env) if cond.sharc_flat
                         else (yield from self.eval_expr(cond, thread, frame)))
@@ -1308,15 +1300,15 @@ class Interp:
                     self._exec_flat(branch, thread, env)
                 else:
                     yield from self.exec_stmt(branch, thread, frame)
-            elif k == _S_COMPOUND:
+            elif k == S_COMPOUND:
                 if s.sharc_flat:
                     self._exec_flat(s, thread, env)
                 else:
                     yield from self.exec_stmt(s, thread, frame)
-            elif k == _S_WHILE or k == _S_FOR:
+            elif k == S_WHILE or k == S_FOR:
                 # a while loop is a for loop without init and step
                 cond, body, step = s.cond, s.body, None
-                if k == _S_FOR:
+                if k == S_FOR:
                     init, step = s.init, s.step
                     if isinstance(init, A.DeclStmt):
                         yield from self.exec_stmt(init, thread, frame)
@@ -1350,7 +1342,7 @@ class Interp:
                     else:
                         yield from self.eval_expr(step, thread, frame)
                     yield self._flush()  # preemption point on back-edges
-            elif k == _S_DECL:
+            elif k == S_DECL:
                 for d in s.decls:
                     init = d.init
                     if init is None:
@@ -1365,9 +1357,9 @@ class Interp:
                     old = self.space.write(addr, value, d.loc)
                     self.stats.accesses_total += 1
                     self.stats.writes += 1
-                    if getattr(d, "rc_track", False):
+                    if d.rc_track:
                         self._rc_write(thread, addr, old, value)
-            elif k == _S_RETURN:
+            elif k == S_RETURN:
                 value = s.value
                 if value is None:
                     value = 0
@@ -1376,7 +1368,7 @@ class Interp:
                 else:
                     value = yield from self.eval_expr(value, thread, frame)
                 raise _Return(value)
-            elif k == _S_DOWHILE:
+            elif k == S_DOWHILE:
                 cond, body = s.cond, s.body
                 while True:
                     try:
@@ -1394,9 +1386,9 @@ class Interp:
                     if not _truthy(value):
                         break
                     yield self._flush()
-            elif k == _S_BREAK:
+            elif k == S_BREAK:
                 raise _Break()
-            elif k == _S_CONTINUE:
+            elif k == S_CONTINUE:
                 raise _Continue()
 
     # -- threads ------------------------------------------------------------------------------
@@ -1456,7 +1448,7 @@ class Interp:
             if size == 1 and isinstance(value, int):
                 value &= 0xFF
             old = self.space.write(addr, value, g.loc)
-            if getattr(g, "rc_track", False):
+            if g.rc_track:
                 self._rc_write(thread, addr, old, value)
 
     def _main_body(self, thread: Thread):
@@ -1528,6 +1520,7 @@ class Interp:
                     # Ticks charged since the thread's last yield (all
                     # of them when it dies on an error) are its own.
                     used += self._pending
+                    stats.steps_total += self._pending
                     self._pending = 0
                     thread.steps += used
                     steps += used
@@ -1536,9 +1529,11 @@ class Interp:
                     break
                 ran += 1
                 if type(item) is int:
-                    # _flush() yields already-charged evaluation cost —
-                    # by far the common case, so it is tested first.
+                    # _flush() yields the ticks charged since the last
+                    # yield — by far the common case, so it is tested
+                    # first.
                     cost = item
+                    stats.steps_total += cost
                 elif isinstance(item, tuple) and item:
                     if item[0] == "block":
                         sched.block(thread, item[1], item[2])
@@ -1560,6 +1555,7 @@ class Interp:
             # Ticks charged since the last yield of a burst that ended
             # on a block or io item are the thread's own, too.
             used += self._pending
+            stats.steps_total += self._pending
             self._pending = 0
             if held:
                 sched.context_switches += ran - 1

@@ -173,7 +173,7 @@ class _Walker(EvalWalker):
                 continue
             for attr, is_write in (("sharc_read", False),
                                    ("sharc_write", True)):
-                info = getattr(e, attr, None)
+                info = getattr(e, attr)
                 if info is None or not info.is_dynamic or info.range_walk:
                     continue
                 info.range_walk = True

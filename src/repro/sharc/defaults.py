@@ -137,11 +137,11 @@ def collect_local_decls(func: A.FuncDef) -> list[A.VarDecl]:
     """All local variable declarations in a function body, collected
     once and memoized on the ``FuncDef`` (no pass adds or removes a
     declaration).  Callers must not change the list."""
-    decls = getattr(func, "sharc_locals", None)
+    decls = func.sharc_locals
     if decls is None:
         decls = ([] if func.body is None
                  else list(_decl_types_of_stmt(func.body)))
-        func.sharc_locals = decls  # type: ignore[attr-defined]
+        func.sharc_locals = decls
     return decls
 
 
@@ -149,10 +149,10 @@ def function_exprs(func: A.FuncDef) -> list[A.Expr]:
     """Every expression in a function body, in :func:`A.all_exprs`
     order, collected once and memoized on the ``FuncDef`` (no pass
     reshapes an expression tree).  Callers must not change the list."""
-    exprs = getattr(func, "sharc_exprs", None)
+    exprs = func.sharc_exprs
     if exprs is None:
         exprs = [] if func.body is None else list(A.all_exprs(func.body))
-        func.sharc_exprs = exprs  # type: ignore[attr-defined]
+        func.sharc_exprs = exprs
     return exprs
 
 

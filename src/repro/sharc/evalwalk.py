@@ -59,7 +59,7 @@ class EvalWalker:
     # -- expressions ----------------------------------------------------------
 
     def _access(self, node: A.Expr, attr: str, is_write: bool, st) -> None:
-        info = getattr(node, attr, None)
+        info = getattr(node, attr)
         if info is not None and info.is_dynamic:
             self.check(node, info, is_write, st)
 
@@ -75,7 +75,7 @@ class EvalWalker:
             else:
                 self.lvalue(e.obj, st)
         elif cls is A.Index:
-            if getattr(e, "sharc_on_array", False):
+            if e.sharc_on_array:
                 self.lvalue(e.arr, st)
             else:
                 self.expr(e.arr, st)

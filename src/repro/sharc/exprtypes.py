@@ -253,8 +253,8 @@ class TypeWalker:
             eff = effective_field_type(field_qt, instance)
             # Layout metadata for the interpreter.
             layout = self.structs.layout(base.name)
-            e.sharc_struct = base.name  # type: ignore[attr-defined]
-            e.sharc_offset = layout.field(e.name).offset  # type: ignore[attr-defined]
+            e.sharc_struct = base.name
+            e.sharc_offset = layout.field(e.name).offset
             return LValue(eff, e, "member", e.name,
                           container_qt=instance, obj_expr=e.obj,
                           struct_name=base.name)
@@ -265,8 +265,8 @@ class TypeWalker:
                 # Arrays are one object of the base type (Section 4.1):
                 # the element inherits the array cell's mode.
                 elem = arr_lv.qt.base.elem
-                e.sharc_elem_size = elem.base.size(self.structs)  # type: ignore[attr-defined]
-                e.sharc_on_array = True  # type: ignore[attr-defined]
+                e.sharc_elem_size = elem.base.size(self.structs)
+                e.sharc_on_array = True
                 wrapper = QualType(elem.base, arr_lv.qt.mode,
                                    arr_lv.qt.explicit, loc=elem.loc)
                 wrapper.qvar = arr_lv.qt.qvar
@@ -278,8 +278,8 @@ class TypeWalker:
             if arr_t is None or not (arr_t.is_pointer or arr_t.is_array):
                 return None
             pointee = arr_t.pointee()
-            e.sharc_elem_size = pointee.base.size(self.structs)  # type: ignore[attr-defined]
-            e.sharc_on_array = False  # type: ignore[attr-defined]
+            e.sharc_elem_size = pointee.base.size(self.structs)
+            e.sharc_on_array = False
             return LValue(pointee, e, "index")
         return None
 
@@ -302,11 +302,11 @@ class TypeWalker:
             # (readonly in annotated code, dynamic/private elsewhere).
             # The cells are written once while interning, so any mode is
             # dynamically safe for the read-only uses C allows.
-            t = getattr(e, "str_type", None)
+            t = e.str_type
             if t is None:
                 t = QualType(PtrType(QualType(Prim("char"), None)),
                              M.PRIVATE)
-                e.str_type = t  # type: ignore[attr-defined]
+                e.str_type = t
             return t
         if isinstance(e, A.NullLit):
             return NULL_TYPE
@@ -355,7 +355,7 @@ class TypeWalker:
             return e.to
         if isinstance(e, A.SCastExpr):
             lv = self.lvalue_of(e.expr)
-            e.src_lv = lv  # type: ignore[attr-defined]
+            e.src_lv = lv
             if lv is not None:
                 # The source is read and then nulled; record the read here,
                 # the write is attached by the type checker.
@@ -450,10 +450,10 @@ class TypeWalker:
             if is_builtin(callee.name):
                 # The per-call-site instance is cached on the node so the
                 # checking phase sees the modes inference resolved.
-                bt = getattr(e, "builtin_sig", None)
+                bt = e.builtin_sig
                 if bt is None:
                     bt = builtin_type(callee.name)
-                    e.builtin_sig = bt  # type: ignore[attr-defined]
+                    e.builtin_sig = bt
                 assert isinstance(bt.base, FuncType)
                 return None, bt.base, callee.name
             if callee.name in self.functions:

@@ -59,7 +59,7 @@ def mark_rc_writes(program: A.Program, inference: InferenceResult,
         rc_locals: list[str] = []
         for decl in collect_local_decls(func):
             if tracked(decl.qtype):
-                decl.rc_track = True  # type: ignore[attr-defined]
+                decl.rc_track = True
                 rc_locals.append(decl.name)
                 stats.rc_locals += 1
         ftype = func.qtype.base
@@ -67,17 +67,17 @@ def mark_rc_writes(program: A.Program, inference: InferenceResult,
             if tracked(ptype):
                 rc_locals.append(pname)
                 stats.rc_locals += 1
-        func.rc_locals = rc_locals  # type: ignore[attr-defined]
+        func.rc_locals = rc_locals
         for e in function_exprs(func):
             if isinstance(e, A.Assign) and tracked(e.lhs.ctype):
-                e.rc_track = True  # type: ignore[attr-defined]
+                e.rc_track = True
                 stats.rc_writes += 1
             elif isinstance(e, A.SCastExpr) and tracked(e.to):
-                e.rc_track = True  # type: ignore[attr-defined]
+                e.rc_track = True
                 stats.rc_writes += 1
     for g in program.globals():
         if tracked(g.qtype):
-            g.rc_track = True  # type: ignore[attr-defined]
+            g.rc_track = True
     return stats
 
 
@@ -95,11 +95,11 @@ def _check_line(info, fallback_kind: str) -> str:
     else:
         body = f"{fallback_kind}({info.lvalue_text})"
     flags = []
-    if getattr(info, "elide", False):
+    if info.elide:
         flags.append("elide")
-    if getattr(info, "range_walk", False):
+    if info.range_walk:
         flags.append("range")
-    if getattr(info, "refined_lock", None) is not None:
+    if info.refined_lock is not None:
         flags.append(f"locked:{info.refined_lock}")
     suffix = f" [{','.join(flags)}]" if flags else ""
     return f"// {info.loc}: {body}{suffix}"
@@ -113,18 +113,18 @@ def instrumented_listing(program: A.Program) -> str:
     for func in program.functions():
         assert func.body is not None
         for e in function_exprs(func):
-            read = getattr(e, "sharc_read", None)
-            write = getattr(e, "sharc_write", None)
+            read = e.sharc_read
+            write = e.sharc_write
             if read is not None:
                 lines.append(_check_line(read, "chkread"))
             if write is not None:
                 lines.append(_check_line(write, "chkwrite"))
-            if getattr(e, "sharc_oneref", False):
-                src = getattr(e, "sharc_src_write", None)
-                lv = getattr(e, "src_lv", None)
+            if e.sharc_oneref:
+                src = e.sharc_src_write
+                lv = e.src_lv
                 text = (src.lvalue_text if src
                         else lv.text if lv is not None else "?")
                 lines.append(f"// {e.loc}: oneref({text}) + null-out")
-            if getattr(e, "rc_track", False):
+            if e.rc_track:
                 lines.append(f"// {e.loc}: refcount update")
     return "\n".join(lines) + "\n"

@@ -107,11 +107,11 @@ def loc_key(node: A.Expr, global_names: frozenset) -> Optional[tuple]:
             return ("global", node.name)
         return None
     if cls is A.Index:
-        if getattr(node, "sharc_on_array", False):
+        if node.sharc_on_array:
             return loc_key(node.arr, global_names)
         return None
     if cls is A.Member:
-        struct = getattr(node, "sharc_struct", None)
+        struct = node.sharc_struct
         if struct is not None:
             return ("field", struct, node.name)
         return None

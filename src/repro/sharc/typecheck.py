@@ -286,7 +286,7 @@ class CheckWalker(TypeWalker):
     def on_read(self, lv: LValue, node: A.Expr) -> None:
         mode = _mode_of(lv.qt)
         if self._is_register_like(lv):
-            node.sharc_reg = True  # type: ignore[attr-defined]
+            node.sharc_reg = True
         if mode.kind in (M.ModeKind.DYNAMIC, M.ModeKind.DYNAMIC_IN):
             node.sharc_read = AccessInfo(mode, lv.text, node.loc)
             self.stats.read_checks += 1
@@ -300,7 +300,7 @@ class CheckWalker(TypeWalker):
     def on_write(self, lv: LValue, node: A.Expr) -> None:
         mode = _mode_of(lv.qt)
         if self._is_register_like(lv):
-            node.sharc_reg = True  # type: ignore[attr-defined]
+            node.sharc_reg = True
         if mode.is_readonly:
             container = _mode_of(lv.container_qt)
             if lv.kind not in ("member", "index") or \
@@ -460,7 +460,7 @@ class CheckWalker(TypeWalker):
     def _check_builtin_call(self, name: str, ftype: FuncType,
                             node: A.Call, arg_types) -> None:
         b = BUILTINS[name]
-        node.arg_access = {}  # type: ignore[attr-defined]
+        node.arg_access = {}
         for i, (param, arg_t) in enumerate(zip(ftype.params, arg_types)):
             if arg_t is None or arg_t is NULL_TYPE:
                 continue
@@ -524,7 +524,7 @@ class CheckWalker(TypeWalker):
     # -- sharing casts --------------------------------------------------------------
 
     def on_scast(self, to, src_t, node) -> None:
-        lv: Optional[LValue] = getattr(node, "src_lv", None)
+        lv: Optional[LValue] = node.src_lv
         if lv is None or not (lv.qt.is_pointer or lv.qt.is_array):
             self.sink.error(
                 DiagKind.BAD_SCAST,
@@ -562,18 +562,18 @@ class CheckWalker(TypeWalker):
                 return
             lt2, rt2 = _target_of(lt2), _target_of(rt2)
         # Legal: record the oneref check and the null-out write.
-        node.sharc_oneref = True  # type: ignore[attr-defined]
+        node.sharc_oneref = True
         self.stats.oneref_checks += 1
         mode = _mode_of(lv.qt)
         if mode.is_locked and self._locked_in_private_instance(lv):
             pass  # initialization of a still-private object
         elif mode.is_locked:
             lock = self._resolve_lock(mode, lv, node)
-            node.sharc_src_write = AccessInfo(  # type: ignore[attr-defined]
+            node.sharc_src_write = AccessInfo(
                 mode, lv.text, node.loc, lock)
             self.stats.lock_checks += 1
         elif mode.kind in (M.ModeKind.DYNAMIC, M.ModeKind.DYNAMIC_IN):
-            node.sharc_src_write = AccessInfo(  # type: ignore[attr-defined]
+            node.sharc_src_write = AccessInfo(
                 mode, lv.text, node.loc, None)
             self.stats.write_checks += 1
         if mode.is_readonly and not (

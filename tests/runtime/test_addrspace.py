@@ -278,11 +278,20 @@ class TestBulkBytes:
                 slow.check_access(dst + n - 1, self.LOC)
             for i in range(n):
                 slow.cells[dst + i] = value
-                if i % PAGE_SIZE == 0:  # the census samples each stride
-                    slow.pages_touched.add((dst + i) // PAGE_SIZE)
+                slow.pages_touched.add((dst + i) // PAGE_SIZE)
 
         assert _outcome(fast, lambda: fast.set_range(
             dst, value, n, self.LOC)) == _outcome(slow, per_byte)
+
+    def test_set_range_counts_every_page_it_straddles(self):
+        space = AddressSpace()
+        block = space.alloc(9000)
+        # a page boundary at least 96 bytes into the block
+        boundary = (block // PAGE_SIZE + 2) * PAGE_SIZE
+        space.pages_touched.clear()
+        space.set_range(boundary - 96, 0, 200, self.LOC)
+        assert space.pages_touched == {boundary // PAGE_SIZE - 1,
+                                       boundary // PAGE_SIZE}
 
     @settings(max_examples=300, deadline=None)
     @given(layout=_layouts(), data=st.data())

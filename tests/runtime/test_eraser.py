@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import Loc
-from repro.runtime.eraser import EraserChecker, LockState
+from repro.errors import DiagKind, Loc
+from repro.runtime.eraser import DETAIL, EraserChecker, LockState
 from tests.conftest import check_ok
 from repro.runtime.interp import run_checked
 
@@ -52,8 +52,8 @@ class TestStateMachine:
         access(checker, 0x100, 1, True, held={0x900})
         access(checker, 0x100, 2, True, held={0x900})
         reports = access(checker, 0x100, 3, True, held={0x901})
-        assert reports
-        assert "lockset" in reports[0].detail
+        # the granule's address, this access and the last one before it
+        assert reports == [(0x100, (3, "x", LOC), (2, "x", LOC))]
 
     def test_unlocked_write_after_sharing_reports(self, checker):
         access(checker, 0x100, 1, True)
@@ -143,8 +143,7 @@ class TestEdgeCases:
         reports = access(checker, 0x100, 1, True, held={0x900})
         assert st.state is LockState.SHARED_MODIFIED
         assert st.lockset == frozenset()      # {0x901} & {0x900}
-        assert reports                        # enforced on the write
-        assert "lockset" in reports[0].detail
+        assert reports == [(0x100, (1, "x", LOC), (2, "x", LOC))]
 
     def test_first_write_after_shared_read_with_consistent_lock(
             self, checker):
@@ -180,6 +179,10 @@ class TestEraserInterp:
         checked = check_ok(self.RACY)
         result = run_checked(checked, seed=1, checker="eraser")
         assert result.reports
+        report = result.reports[0]
+        assert report.kind is DiagKind.WRITE_CONFLICT
+        assert report.detail == DETAIL
+        assert report.who.lvalue == report.last.lvalue == "shared"
 
     def test_locked_program_clean_under_eraser(self):
         checked = check_ok("""

@@ -14,7 +14,10 @@ reduces to one fingerprint (:func:`observe`) in two parts:
   in :data:`MIX_AXES`, which may move checks between kinds but never
   change their sum.  Every run's sites reconcile with its counters.
 
-Eraser rows vary the backend only.  The sweep path (``run_schedule``,
+Traced rows also agree on their :func:`timeline`: the step clock
+stamped on every bus event and on the history of every report.
+:data:`PINNED_TIMELINES` pins that clock across commits for a few
+programs.  Eraser rows vary the backend only.  The sweep path (``run_schedule``,
 trace hash included) agrees with the direct run in every configuration
 it can take.  Every program's lockset summaries converge.
 
@@ -79,6 +82,14 @@ SWEEP_AXES = ("backend", "static")
 MIX = ("checks_full", "checks_range", "checks_elided",
        "checks_locked_refined", "sites")
 SOUNDNESS_SEEDS = range(4)
+#: program -> digest of its traced :func:`timeline` on every backend.
+#: Every configuration shares the step clock, so only a pin across
+#: commits sees a clock that stamps the wrong step.
+PINNED_TIMELINES = {
+    "counter": "fd9c80ce3ca753bc511b1726",
+    "gate-program": "b9c8cce77d4732a1458c63f9",
+    "racy0": "47eadf4827b17e11af15ce51",
+}
 
 
 # -- the programs ------------------------------------------------------------
@@ -491,6 +502,13 @@ def observe(checked, seed: int, policy, backend: str,
     return payload, result
 
 
+def timeline(result) -> tuple:
+    """A traced run's step-clock stamps: each bus event's ``(cat, name,
+    tid, ts, dur)`` and each report with its ``hist`` lines."""
+    return ([(e.cat, e.name, e.tid, e.ts, e.dur) for e in result.events],
+            [r.render() for r in result.reports])
+
+
 def contract(payload: dict) -> dict:
     return {**payload, "stats": {k: v for k, v in payload["stats"].items()
                                  if k not in MIX}}
@@ -551,6 +569,10 @@ def check_identity(checked, seed: int, policy, world_factory=None,
         assert contract(payload) == contract(reference), config
         assert mix_total(payload) == mix_total(reference), config
         assert mix(payload) == mix(_mix_peer(rows, config)[0]), config
+    traced = [(c, timeline(result)) for c, (_, result) in rows
+              if c["trace"] is not None]
+    for config, stamps in traced[1:]:
+        assert stamps == traced[0][1], config
     return rows
 
 
@@ -600,6 +622,19 @@ def test_identity(index, program):
     assert first.trace_hash == trace_hash(reference["trace"])
     assert first.report_keys == tuple(k for k, _ in
                                       reference["report_counts"])
+
+
+@pytest.mark.parametrize("index,program",
+                         _params(lambda p: p.name in PINNED_TIMELINES))
+def test_traced_timeline_is_pinned(index, program):
+    checked = _checked_program(program.source, "test.c")
+    seed, policy = _coordinate(index)
+    for backend in LATTICE["backend"]:
+        _, result = observe(checked, seed, policy, backend,
+                            program.world_factory, trace=TraceConfig())
+        digest = hashlib.sha256(repr(timeline(result)).encode())
+        assert digest.hexdigest()[:24] == PINNED_TIMELINES[program.name], \
+            backend
 
 
 @pytest.mark.parametrize("index,program",
